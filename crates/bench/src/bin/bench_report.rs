@@ -649,8 +649,9 @@ fn congested_goodput(quick: bool) -> f64 {
 }
 
 /// High-class delivery latency while the bulk tier saturates a
-/// token-bucket-shaped bottleneck (no loss — pure congestion): the DRR
-/// arbiter and per-peer credit window are what keep the high tier's p99
+/// token-bucket-shaped bottleneck (no loss — pure congestion): the
+/// per-peer credit window (all the transport enforces) and the tiered
+/// dispatcher's strict priority are what keep the high tier's p99
 /// bounded here, measured over the same harness the chaos suite pins.
 fn tiered_high_class_latency_under_bulk(quick: bool) -> (f64, f64) {
     let steps = if quick { 150 } else { 400 };

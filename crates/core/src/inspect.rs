@@ -249,8 +249,10 @@ pub struct PathSnapshot {
     pub stale_epoch: u32,
     /// Heartbeat pings sent on this path while it was idle.
     pub pings: u32,
-    /// Sends refused by flow control (the peer's credit grant or the DRR
-    /// fairness arbiter) while the configured window still had room.
+    /// Sends refused because the peer's credit grant, not the configured
+    /// window, was full. The transport enforces only credit; the engine's
+    /// least-recently-served drain and `max_batch` decide which endpoint
+    /// sends next.
     pub credit_stalls: u32,
     /// Times this node's credit grantor shrank the window it advertises
     /// to the peer (receive-side congestion rounds).

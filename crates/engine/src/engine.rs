@@ -162,7 +162,11 @@ pub struct Engine {
     transport: Box<dyn Transport>,
     cfg: EngineConfig,
     stats: Arc<EngineStats>,
-    scan_cursor: u16,
+    /// Flat endpoint positions, least recently served first: the order
+    /// in which each importance class is tried.
+    service_order: Vec<u16>,
+    /// The endpoints that moved a frame in the current pass, in order.
+    served: Vec<u16>,
     shaper: Shaper,
     /// Always-on wait-free histograms (iteration work, per-endpoint
     /// send→deliver latency). The engine is the single recorder.
@@ -218,12 +222,14 @@ impl Engine {
             .map(|d| usize::from(d.index_base) + usize::from(d.endpoints()))
             .max()
             .unwrap_or(0);
+        let flat_endpoints: u16 = domains.iter().map(Domain::endpoints).sum();
         Engine {
             domains,
             transport,
             cfg,
             stats: Arc::new(EngineStats::default()),
-            scan_cursor: 0,
+            service_order: (0..flat_endpoints).collect(),
+            served: Vec::with_capacity(usize::from(flat_endpoints)),
             shaper: Shaper::new(),
             telemetry: EngineTelemetry::new(total_endpoints),
             trace: None,
@@ -452,19 +458,16 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn pump_outgoing(&mut self) -> u32 {
-        let n: u16 = self.domains.iter().map(Domain::endpoints).sum();
         let mut budget = self.cfg.outgoing_budget;
         let mut done = 0;
-        // Importance classes high to low across ALL domains; rotate the
-        // start within a class so equal-importance endpoints share service
-        // fairly.
-        let mut last_served: Option<u16> = None;
+        // Importance classes high to low across ALL domains. Within a
+        // class, endpoints are tried least recently served first.
         for importance in [Importance::High, Importance::Normal, Importance::Low] {
-            for step in 0..n {
+            for pos in 0..self.service_order.len() {
                 if budget == 0 {
                     break;
                 }
-                let flat = (self.scan_cursor + step) % n;
+                let flat = self.service_order[pos];
                 let Some((dom, idx)) = self.flat_to_domain(flat) else {
                     continue;
                 };
@@ -472,19 +475,26 @@ impl Engine {
                     continue;
                 }
                 let moved = self.drain_send_endpoint(dom, idx, &mut budget);
-                if moved > 0 {
-                    last_served = Some(flat);
+                // An endpoint reallocated mid-pass into a later class can
+                // be reached twice; it is recorded once.
+                if moved > 0 && !self.served.contains(&flat) {
+                    self.served.push(flat);
                 }
                 done += moved;
             }
         }
-        // True round-robin: the next pass starts just after the endpoint
-        // that transmitted last, so equal-importance endpoints share
-        // service even under a tight budget.
-        self.scan_cursor = match last_served {
-            Some(flat) => (flat + 1) % n,
-            None => (self.scan_cursor + 1) % n,
-        };
+        // Round robin: an endpoint that moved goes to the back, behind
+        // every endpoint that waited, including those a full wire refused.
+        // So equal-importance endpoints sharing a path take turns of at
+        // most `max_batch` frames, whatever other paths and classes do and
+        // however many passes find the wire full. A pass that moved nothing
+        // changes nothing.
+        if !self.served.is_empty() {
+            let served = &self.served;
+            self.service_order.retain(|flat| !served.contains(flat));
+            self.service_order.extend_from_slice(&self.served);
+            self.served.clear();
+        }
         // End of the drain pass: the batch boundary. A coalescing
         // transport transmits everything staged above; eager transports
         // no-op.
@@ -1276,6 +1286,170 @@ mod fairness_tests {
             "service not shared: arrival order {:?}",
             order.iter().map(|&c| c as char).collect::<String>()
         );
+    }
+
+    /// What else node 0 transmits while its endpoints A and B share the
+    /// wire to node 1.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Neighbour {
+        Quiet,
+        /// A `Low` bulk sender delivering node-locally: it moves frames
+        /// on every pass, after the `Normal` class.
+        LowLocal,
+        /// A `Normal` bulk sender to node 2, allocated after B.
+        OtherPeer,
+        /// Two `Normal` bulk senders, C and D, sharing the wire to node 2,
+        /// whose receiver runs only every other round.
+        ContendedOtherPeer,
+    }
+
+    /// Backlogged endpoints on node 0 stream over four-frame wires while
+    /// the sender engine runs `passes` drain passes per receiver pass, so
+    /// most passes find a wire full. Returns the arrival order at node 1
+    /// (`true` for A) and at node 2 (`true` for the first sender there).
+    fn backlogged_arrivals(max_batch: u32, passes: usize, neighbour: Neighbour) -> [Vec<bool>; 2] {
+        let geo = Geometry {
+            ring_capacity: 32,
+            buffers: 128,
+            ..Geometry::small()
+        };
+        let cfg = EngineConfig {
+            max_batch,
+            ..Default::default()
+        };
+        let mut flipc = Vec::new();
+        let mut engines = Vec::new();
+        for (i, port) in fabric(3, 4).into_iter().enumerate() {
+            let cb = Arc::new(CommBuffer::new(geo).unwrap());
+            let registry = WaitRegistry::new();
+            flipc.push(Flipc::attach(
+                cb.clone(),
+                FlipcNodeId(i as u16),
+                registry.clone(),
+            ));
+            engines.push(Engine::new(cb, Box::new(port), registry, cfg));
+        }
+        let receivers = [1, 2].map(|node| {
+            let rx = flipc[node]
+                .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+                .unwrap();
+            for _ in 0..16 {
+                let b = flipc[node].buffer_allocate().unwrap();
+                flipc[node]
+                    .provide_receive_buffer(&rx, b)
+                    .map_err(|r| r.error)
+                    .unwrap();
+            }
+            rx
+        });
+        let dests = [
+            flipc[1].address(&receivers[0]),
+            flipc[2].address(&receivers[1]),
+        ];
+        let sender = |importance| {
+            flipc[0]
+                .endpoint_allocate(EndpointType::Send, importance)
+                .unwrap()
+        };
+        let mut senders = vec![
+            (sender(Importance::Normal), dests[0]),
+            (sender(Importance::Normal), dests[0]),
+        ];
+        match neighbour {
+            Neighbour::Quiet => {}
+            Neighbour::LowLocal => {
+                // No receive buffers: every local frame is dropped, which
+                // still completes the send.
+                let local = flipc[0]
+                    .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+                    .unwrap();
+                senders.push((sender(Importance::Low), flipc[0].address(&local)));
+            }
+            Neighbour::OtherPeer => senders.push((sender(Importance::Normal), dests[1])),
+            Neighbour::ContendedOtherPeer => {
+                senders.push((sender(Importance::Normal), dests[1]));
+                senders.push((sender(Importance::Normal), dests[1]));
+            }
+        }
+        for (ep, dest) in &senders {
+            for _ in 0..8 {
+                let t = flipc[0].buffer_allocate().unwrap();
+                flipc[0].send(ep, t, *dest).map_err(|r| r.error).unwrap();
+            }
+        }
+        let first_to = [senders[0].0.index(), senders[senders.len() - 1].0.index()];
+        let mut orders = [Vec::new(), Vec::new()];
+        for round in 0..200 {
+            for _ in 0..passes {
+                engines[0].iterate();
+            }
+            engines[1].iterate();
+            if round % 2 == 1 {
+                engines[2].iterate();
+            }
+            for (k, node) in [1, 2].into_iter().enumerate() {
+                while let Some(r) = flipc[node].recv(&receivers[k]).unwrap() {
+                    orders[k].push(r.from.index() == first_to[k]);
+                    flipc[node]
+                        .provide_receive_buffer(&receivers[k], r.token)
+                        .map_err(|r| r.error)
+                        .unwrap();
+                }
+            }
+            // Resend every completed buffer: every queue stays backlogged.
+            for (ep, dest) in &senders {
+                while let Some(t) = flipc[0].reclaim_send(ep).unwrap() {
+                    flipc[0].send(ep, t, *dest).map_err(|r| r.error).unwrap();
+                }
+            }
+        }
+        orders
+    }
+
+    /// Endpoints waiting on a full wire are served before the one that
+    /// just sent, whatever the number of passes that found the wire full
+    /// and whatever other classes and paths move meanwhile. Otherwise one
+    /// endpoint can take every refill while its equal-importance peer on
+    /// the same path starves.
+    #[test]
+    fn full_wire_passes_do_not_skip_a_waiting_endpoint() {
+        for neighbour in [
+            Neighbour::Quiet,
+            Neighbour::LowLocal,
+            Neighbour::OtherPeer,
+            Neighbour::ContendedOtherPeer,
+        ] {
+            for max_batch in [2, 16] {
+                for passes in [1, 2, 3] {
+                    let [to_node1, to_node2] = backlogged_arrivals(max_batch, passes, neighbour);
+                    let mut paths = vec![("A/B to node 1", to_node1)];
+                    if neighbour == Neighbour::ContendedOtherPeer {
+                        paths.push(("C/D to node 2", to_node2));
+                    }
+                    for (path, order) in paths {
+                        let first = order.iter().filter(|&&x| x).count();
+                        let second = order.len() - first;
+                        assert!(
+                            first > 0 && second > 0,
+                            "{neighbour:?}, max_batch {max_batch}, {passes} passes: \
+                             {path} delivered {first} : {second}"
+                        );
+                        for from_first in [true, false] {
+                            let longest = order
+                                .split(|&x| x != from_first)
+                                .map(<[bool]>::len)
+                                .max()
+                                .unwrap_or(0);
+                            assert!(
+                                longest <= max_batch as usize,
+                                "{neighbour:?}, max_batch {max_batch}, {passes} passes: \
+                                 {path} had a run of {longest} from one endpoint"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

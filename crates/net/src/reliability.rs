@@ -49,7 +49,11 @@ use flipc_engine::wire::Frame;
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
     /// Sender window: max unacknowledged data frames per peer (also the
-    /// retransmit-ring capacity). A full window backpressures the engine.
+    /// retransmit-ring capacity). A full window, clamped by the peer's
+    /// credit grant, backpressures the engine; it is the transport's only
+    /// refusal. How endpoints sharing the path split it is the engine's
+    /// least-recently-served drain (`EngineConfig::max_batch` frames per
+    /// turn).
     pub window: u32,
     /// Receiver reorder window: how far ahead of the next expected
     /// sequence an arrival may be and still be parked for reassembly.
@@ -102,11 +106,6 @@ pub struct NetConfig {
     /// probe frame through that earns the next additive increase).
     /// Clamped to at least 1.
     pub credit_min: u32,
-    /// Deficit-round-robin quantum ([`DrrArbiter`]): how many frames one
-    /// source endpoint may admit per round while other endpoints on the
-    /// same peer path are waiting. Bounds priority inversion to one
-    /// quantum of the competing flow. Clamped to at least 1.
-    pub drr_quantum: u32,
     /// Interval, in clock ticks, between slow probes toward a peer
     /// already declared dead *while sends toward it are still pending*
     /// (unacknowledged credit). This is what breaks the mutual-dead
@@ -135,7 +134,6 @@ impl Default for NetConfig {
             coalesce: false,
             coalesce_mtu: 1_400,
             credit_min: 1,
-            drr_quantum: 4,
             dead_probe_interval: 1_600_000,
         }
     }
@@ -640,135 +638,6 @@ impl CreditGrantor {
         }
         self.delivered_since = 0;
         (self.window, self.drops, shrank)
-    }
-}
-
-/// Deficit-round-robin admission arbiter for the source endpoints that
-/// share one peer path's sender window.
-///
-/// Without it, strict-priority callers are safe but a greedy bulk
-/// endpoint can keep the whole window full so a latency-critical
-/// endpoint's frames always find it closed (the starvation the tiered
-/// workload demonstrated). The arbiter charges admissions against a
-/// per-endpoint deficit only while the path is *contested* — some other
-/// endpoint was recently refused — so uncontended traffic pays nothing.
-/// Once contested, an endpoint whose deficit is spent is refused until
-/// the round replenishes (when no demanding endpoint has deficit left),
-/// bounding the slots any flow can claim ahead of a waiting competitor
-/// to one quantum.
-///
-/// A refused endpoint that stops retrying (its producer went away) must
-/// not throttle the survivors: demand expires after `stale_after` ticks
-/// of not requesting.
-#[derive(Debug)]
-pub struct DrrArbiter {
-    /// Frames one endpoint may admit per contested round.
-    quantum: u32,
-    /// Ticks after which a refused endpoint's demand is forgotten.
-    stale_after: u64,
-    /// Per-endpoint state, small and scanned linearly (endpoint counts
-    /// are tiny — the tiered workload has three).
-    flows: Vec<DrrFlow>,
-}
-
-#[derive(Debug)]
-struct DrrFlow {
-    /// Source endpoint index this flow tracks.
-    ep: u16,
-    /// Admissions left this round while contested.
-    deficit: u32,
-    /// The endpoint was refused and has not been granted since.
-    waiting: bool,
-    /// Tick of the endpoint's last admission request.
-    last_request: u64,
-}
-
-impl DrrArbiter {
-    /// An arbiter with the configured quantum; `stale_after` should be on
-    /// the order of the retransmit timeout (the transport passes the
-    /// initial RTO).
-    pub fn new(cfg: &NetConfig) -> DrrArbiter {
-        DrrArbiter {
-            quantum: cfg.drr_quantum.max(1),
-            stale_after: cfg.rto.max(1),
-            flows: Vec::new(),
-        }
-    }
-
-    /// Asks to admit one frame from endpoint `ep` given `free_slots` open
-    /// window slots. Returns `true` to admit; `false` means the caller
-    /// must backpressure this endpoint (window full, or its fair share is
-    /// spent while another endpoint waits).
-    pub fn request(&mut self, ep: u16, now: u64, free_slots: u32) -> bool {
-        let idx = match self.flows.iter().position(|f| f.ep == ep) {
-            Some(i) => i,
-            None => {
-                self.flows.push(DrrFlow {
-                    ep,
-                    deficit: self.quantum,
-                    waiting: false,
-                    last_request: now,
-                });
-                self.flows.len() - 1
-            }
-        };
-        self.flows[idx].last_request = now;
-        if free_slots == 0 {
-            self.flows[idx].waiting = true;
-            return false;
-        }
-        let contested = self.flows.iter().enumerate().any(|(j, f)| {
-            j != idx && f.waiting && now.saturating_sub(f.last_request) <= self.stale_after
-        });
-        if !contested {
-            // Uncontended: admit freely and keep the round fresh so a
-            // newly-waking competitor starts from a full quantum fight.
-            self.flows[idx].waiting = false;
-            self.flows[idx].deficit = self.flows[idx].deficit.max(1) - 1;
-            if self.flows[idx].deficit == 0 {
-                self.replenish(now);
-            }
-            return true;
-        }
-        if self.flows[idx].deficit == 0 {
-            // Spent while others wait: if nobody with live demand has
-            // deficit left either, start the next round; otherwise yield.
-            let any_live_deficit = self.flows.iter().any(|f| {
-                f.deficit > 0
-                    && (f.waiting || f.ep == ep)
-                    && now.saturating_sub(f.last_request) <= self.stale_after
-            });
-            if any_live_deficit {
-                self.flows[idx].waiting = true;
-                return false;
-            }
-            // Replenish prunes stale flows, shifting indices; the
-            // requester survives (its last_request is `now`), so re-find
-            // it by endpoint.
-            self.replenish(now);
-        }
-        if let Some(f) = self.flows.iter_mut().find(|f| f.ep == ep) {
-            f.waiting = false;
-            f.deficit = f.deficit.saturating_sub(1);
-        }
-        true
-    }
-
-    /// Starts a new round: every endpoint with live demand gets a fresh
-    /// quantum; endpoints whose demand went stale are dropped.
-    fn replenish(&mut self, now: u64) {
-        let stale = self.stale_after;
-        self.flows
-            .retain(|f| now.saturating_sub(f.last_request) <= stale);
-        for f in &mut self.flows {
-            f.deficit = self.quantum;
-        }
-    }
-
-    /// Forgets all flow state (path reset: the window emptied, old debts
-    /// are meaningless).
-    pub fn reset(&mut self) {
-        self.flows.clear();
     }
 }
 
@@ -1473,59 +1342,5 @@ mod tests {
         }
         g.on_delivered(1);
         assert_eq!(g.advertise().0, 8, "capped at the configured window");
-    }
-
-    #[test]
-    fn drr_is_free_when_uncontended_and_fair_when_contested() {
-        let cfg = NetConfig {
-            drr_quantum: 2,
-            rto: 100,
-            ..cfg()
-        };
-        let mut a = DrrArbiter::new(&cfg);
-        // Alone on the path: endpoint 0 admits without limit.
-        for _ in 0..20 {
-            assert!(a.request(0, 0, 4));
-        }
-        // Endpoint 1 hits a full window and registers demand.
-        assert!(!a.request(1, 1, 0));
-        // Now contested: endpoint 0 gets at most one quantum before it
-        // must yield to the waiter.
-        let mut granted = 0;
-        while a.request(0, 2, 4) {
-            granted += 1;
-            assert!(granted <= 2, "bulk exceeded its quantum while high waits");
-        }
-        // The waiter drains its own quantum.
-        assert!(a.request(1, 3, 4));
-        assert!(a.request(1, 3, 4));
-        // Both spent: the round replenishes and both proceed again.
-        assert!(a.request(0, 4, 4) || a.request(0, 4, 4));
-        assert!(a.request(1, 4, 4) || a.request(1, 4, 4));
-    }
-
-    #[test]
-    fn drr_stale_demand_expires_and_stops_throttling() {
-        let cfg = NetConfig {
-            drr_quantum: 1,
-            rto: 100,
-            ..cfg()
-        };
-        let mut a = DrrArbiter::new(&cfg);
-        // Endpoint 1 is refused once and then never retries (producer
-        // gone).
-        assert!(!a.request(1, 0, 0));
-        // Within the staleness horizon its demand throttles endpoint 0 to
-        // quantum-sized rounds (which still make progress).
-        assert!(a.request(0, 10, 4));
-        // Past the horizon the ghost is forgotten: unlimited again.
-        for now in 200..230 {
-            assert!(a.request(0, now, 4), "stale waiter must not throttle");
-        }
-        // Reset clears everything.
-        a.reset();
-        for _ in 0..10 {
-            assert!(a.request(0, 1_000, 4));
-        }
     }
 }

@@ -48,8 +48,10 @@ pub struct PeerStats {
     pub stale_epoch: OwnedCounter,
     /// Idle-path heartbeat pings sent to this peer.
     pub pings: OwnedCounter,
-    /// Sends refused by flow control — the peer's credit grant or the
-    /// DRR fairness arbiter — while the configured window still had room.
+    /// Sends refused because the peer's credit grant, not the configured
+    /// window, was full. The transport enforces only credit; the engine's
+    /// least-recently-served drain and `max_batch` decide which endpoint
+    /// sends next.
     pub credit_stalls: OwnedCounter,
     /// Times our credit grantor shrank the window it advertises to this
     /// peer (receive-side drops seen since the previous advertisement).

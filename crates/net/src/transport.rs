@@ -36,9 +36,11 @@
 //! §14): every ack and pong carries the receiver's AIMD credit grant and
 //! its cumulative receive-drop counter ([`crate::reliability::CreditGrantor`]),
 //! the sender clamps its effective window to the grant
-//! ([`SenderPath::on_credit`]), and a deficit-round-robin arbiter
-//! ([`crate::reliability::DrrArbiter`]) shares the clamped window fairly
-//! across local endpoints so one bulk producer cannot starve the rest.
+//! ([`SenderPath::on_credit`]), and `try_send` refuses only when that
+//! clamped window is full. The transport enforces the peer's credit and
+//! nothing else: which local endpoint transmits next is decided once, by
+//! the engine's importance-ordered, least-recently-served drain pass
+//! (`max_batch` frames per endpoint per turn).
 //! A dead peer with demonstrated send demand is probed at a capped slow
 //! rate (`NetConfig::dead_probe_interval`) so two nodes that declared
 //! each other dead during a partition still reconverge after it heals.
@@ -62,8 +64,7 @@ use crate::link::Link;
 use crate::packet::{self, BatchBuilder, Packet, HEADER_LEN, MAX_DATAGRAM};
 use crate::peers::NodeMap;
 use crate::reliability::{
-    epoch_newer, ClockSync, CreditGrantor, DrrArbiter, LivenessTracker, NetConfig, ReceiverPath,
-    SenderPath,
+    epoch_newer, ClockSync, CreditGrantor, LivenessTracker, NetConfig, ReceiverPath, SenderPath,
 };
 use crate::stats::NetStats;
 use crate::udp::UdpLink;
@@ -92,10 +93,6 @@ struct PeerState {
     /// Receiver-side AIMD credit grantor: decides the window we advertise
     /// back to this peer in every ack and pong ([`crate::packet`] v4).
     credit: CreditGrantor,
-    /// Deficit-round-robin arbiter: when the (credit-clamped) send window
-    /// is contested, local endpoints sharing this path take turns instead
-    /// of the fastest producer starving the rest.
-    fair: DrrArbiter,
     /// Set when a send was demanded of this peer after (or at) its dead
     /// declaration: arms the capped slow dead-probe loop so two peers
     /// that declared each other dead can still rediscover one another.
@@ -168,7 +165,6 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                     batch: BatchBuilder::new(cfg.coalesce_mtu),
                     clock: ClockSync::new(),
                     credit: CreditGrantor::new(&cfg),
-                    fair: DrrArbiter::new(&cfg),
                     dead_demand: false,
                     next_dead_probe: 0,
                 })
@@ -255,9 +251,6 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         // space.
         self.peers[i].batch.clear();
         self.peers[i].epoch = self.peers[i].epoch.wrapping_add(1);
-        // Queued fairness demand died with the ring; the fresh epoch's
-        // senders re-register on their next attempt.
-        self.peers[i].fair.reset();
         // The estimate (and any outstanding probe) belonged to the
         // abandoned session; the next incarnation re-learns from scratch.
         self.peers[i].clock.reset();
@@ -690,24 +683,18 @@ impl<L: Link, C: Clock> Transport for NetTransport<L, C> {
             self.stats.peers[i].failed.writer().increment();
             return true;
         }
-        let now = self.clock.now();
-        // Fairness gate: when the (credit-clamped) window is contested,
-        // local endpoints sharing this path take turns by deficit round
-        // robin instead of the fastest producer starving the rest. An
-        // uncontended sender passes untouched.
-        let free = self.peers[i]
-            .sender
-            .effective_window()
-            .saturating_sub(self.peers[i].sender.in_flight());
-        let ep = frame.src.index().0;
-        if !self.peers[i].fair.request(ep, now, free) {
-            if free > 0 || self.peers[i].sender.credit_limited() {
-                // Refused by fairness or by the peer's credit grant, not
-                // by the classic configured window.
+        // Credit gate: the only refusal is a full (credit-clamped)
+        // window. Which endpoint gets the freed slots is the engine's
+        // call, not ours.
+        if self.peers[i].sender.full() {
+            if self.peers[i].sender.credit_limited() {
+                // Refused by the peer's credit grant, not by the classic
+                // configured window.
                 self.stats.peers[i].credit_stalls.writer().increment();
             }
             return false;
         }
+        let now = self.clock.now();
         let local = self.local;
         let epoch = self.peers[i].epoch;
         // Coalescing: decide the flush *before* admitting so the staged
@@ -834,6 +821,17 @@ mod tests {
         NetTransport<crate::link::MemLink, ManualClock>,
         ManualClock,
     ) {
+        mem_pair_with(cfg, cfg)
+    }
+
+    fn mem_pair_with(
+        cfg: NetConfig,
+        cfg_b: NetConfig,
+    ) -> (
+        NetTransport<crate::link::MemLink, ManualClock>,
+        NetTransport<crate::link::MemLink, ManualClock>,
+        ManualClock,
+    ) {
         let hub = MemHub::new(2, 4096);
         let clock = ManualClock::new();
         let a = NetTransport::new(
@@ -848,7 +846,7 @@ mod tests {
             &[FlipcNodeId(0)],
             hub.link(FlipcNodeId(1)),
             clock.clone(),
-            cfg,
+            cfg_b,
         );
         (a, b, clock)
     }
@@ -895,6 +893,42 @@ mod tests {
         }
         assert!(a.try_recv().is_none());
         assert!(a.try_send(FlipcNodeId(1), &frame(9)), "window freed by ack");
+    }
+
+    /// `credit_stalls` counts only the refusals the peer's grant causes:
+    /// a full configured window refuses without counting, and a full
+    /// window clamped by a smaller grant refuses and counts once.
+    #[test]
+    fn credit_stalls_count_only_grant_limited_refusals() {
+        let window = |window| NetConfig {
+            window,
+            ..NetConfig::default()
+        };
+        let stalls = |t: &NetTransport<_, _>| t.stats().snapshot().paths[0].credit_stalls;
+
+        let (mut a, _b, _clock) = mem_pair(window(4));
+        for i in 0..4u8 {
+            assert!(a.try_send(FlipcNodeId(1), &frame(i)));
+        }
+        assert!(
+            !a.try_send(FlipcNodeId(1), &frame(9)),
+            "configured window full"
+        );
+        assert_eq!(stalls(&a), 0);
+
+        // The receiver grants 3 frames against the sender's 8.
+        let (mut a, mut b, _clock) = mem_pair_with(window(8), window(3));
+        assert!(a.try_send(FlipcNodeId(1), &frame(0)));
+        assert!(b.try_recv().is_some());
+        assert!(a.try_recv().is_none(), "takes the ack carrying the grant");
+        for i in 1..4u8 {
+            assert!(a.try_send(FlipcNodeId(1), &frame(i)));
+        }
+        assert!(
+            !a.try_send(FlipcNodeId(1), &frame(9)),
+            "granted window full"
+        );
+        assert_eq!(stalls(&a), 1);
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! Property tests for the credit-based flow-control machinery: the
 //! sender-side grant clamp, the receiver-side AIMD grantor, and the
-//! deficit-round-robin fairness arbiter.
+//! fairness the engine's drain pass keeps on a credit-clamped path.
 //!
 //! The properties pinned here are the ones a wrong edge case would turn
 //! into a silent outage rather than a test failure: a sender overrunning
 //! the peer's advertised credit (the exact flooding credit exists to
 //! prevent), a window that wedges shut and can never regrow, a bulk
-//! endpoint starving a latency-critical one past the DRR bound, and
-//! drop-counter wraparound misread as fresh congestion.
+//! endpoint starving an equal-importance one past one `max_batch` turn,
+//! and drop-counter wraparound misread as fresh congestion.
 
-use flipc_net::reliability::{CreditGrantor, DrrArbiter, SenderPath};
-use flipc_net::NetConfig;
+use std::sync::Arc;
+
+use flipc_core::api::Flipc;
+use flipc_core::commbuf::CommBuffer;
+use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
+use flipc_core::layout::Geometry;
+use flipc_core::wait::WaitRegistry;
+use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_net::reliability::{CreditGrantor, SenderPath};
+use flipc_net::{ManualClock, MemHub, NetConfig, NetTransport};
 use proptest::prelude::*;
 
 fn cfg(window: u32) -> NetConfig {
@@ -18,6 +26,171 @@ fn cfg(window: u32) -> NetConfig {
         window,
         ..NetConfig::default()
     }
+}
+
+/// What else node 0 transmits while its endpoints A and B share the
+/// path to node 1.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Neighbour {
+    Quiet,
+    /// A `Low` bulk sender delivering node-locally.
+    LowLocal,
+    /// A `Normal` bulk sender to node 2.
+    OtherPeer,
+    /// Two `Normal` bulk senders, C and D, sharing the path to node 2.
+    ContendedOtherPeer,
+}
+
+fn neighbour() -> impl Strategy<Value = Neighbour> {
+    prop_oneof![
+        Just(Neighbour::Quiet),
+        Just(Neighbour::LowLocal),
+        Just(Neighbour::OtherPeer),
+        Just(Neighbour::ContendedOtherPeer),
+    ]
+}
+
+/// Backlogged endpoints on node 0 stream through `Engine` →
+/// `NetTransport` → `MemHub`. The receivers run with a `window`-frame
+/// config, so their credit grant, not the sender's 64-frame configured
+/// window, bounds each path. The sender engine runs `passes` drain passes
+/// per round; node 1's engine runs every round and node 2's every other
+/// round, and each receiver pass acks, reopening its window. Returns the
+/// arrival order at node 1 (`true` for A) and at node 2 (`true` for the
+/// first sender there), and the credit window node 0 was granted on the
+/// path to node 1.
+fn backlogged_arrivals(
+    window: u32,
+    max_batch: u32,
+    passes: usize,
+    neighbour: Neighbour,
+) -> ([Vec<bool>; 2], u32) {
+    let geo = Geometry {
+        ring_capacity: 32,
+        buffers: 128,
+        ..Geometry::small()
+    };
+    let engine_cfg = EngineConfig {
+        max_batch,
+        ..EngineConfig::default()
+    };
+    let hub = MemHub::new(3, 4096);
+    let clock = ManualClock::new();
+    let mut apps = Vec::new();
+    let mut engines = Vec::new();
+    let mut sender_stats = None;
+    for i in 0..3u16 {
+        let node = FlipcNodeId(i);
+        let (peers, net_cfg) = if i == 0 {
+            (vec![FlipcNodeId(1), FlipcNodeId(2)], cfg(64))
+        } else {
+            (vec![FlipcNodeId(0)], cfg(window))
+        };
+        let transport = NetTransport::new(node, &peers, hub.link(node), clock.clone(), net_cfg);
+        sender_stats.get_or_insert_with(|| transport.stats());
+        let cb = Arc::new(CommBuffer::new(geo).unwrap());
+        let registry = WaitRegistry::new();
+        apps.push(Flipc::attach(cb.clone(), node, registry.clone()));
+        engines.push(Engine::new(cb, Box::new(transport), registry, engine_cfg));
+    }
+    let receivers = [1, 2].map(|node| {
+        let rx = apps[node]
+            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+            .unwrap();
+        for _ in 0..24 {
+            let b = apps[node].buffer_allocate().unwrap();
+            apps[node]
+                .provide_receive_buffer(&rx, b)
+                .map_err(|r| r.error)
+                .unwrap();
+        }
+        rx
+    });
+    let dests = [
+        apps[1].address(&receivers[0]),
+        apps[2].address(&receivers[1]),
+    ];
+    let sender = |importance| {
+        apps[0]
+            .endpoint_allocate(EndpointType::Send, importance)
+            .unwrap()
+    };
+    let mut senders = vec![
+        (sender(Importance::Normal), dests[0]),
+        (sender(Importance::Normal), dests[0]),
+    ];
+    match neighbour {
+        Neighbour::Quiet => {}
+        Neighbour::LowLocal => {
+            // No receive buffers: every local frame is dropped, which
+            // still completes the send.
+            let local = apps[0]
+                .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+                .unwrap();
+            senders.push((sender(Importance::Low), apps[0].address(&local)));
+        }
+        Neighbour::OtherPeer => senders.push((sender(Importance::Normal), dests[1])),
+        Neighbour::ContendedOtherPeer => {
+            senders.push((sender(Importance::Normal), dests[1]));
+            senders.push((sender(Importance::Normal), dests[1]));
+        }
+    }
+    // Warm-up: one frame per path, acked, so every grant has reached
+    // node 0 before the backlog would overrun a receiver window.
+    for dest in dests {
+        let t = apps[0].buffer_allocate().unwrap();
+        apps[0]
+            .send(&senders[0].0, t, dest)
+            .map_err(|r| r.error)
+            .unwrap();
+    }
+    // Two rounds: with `max_batch` 1 the second frame leaves a pass later.
+    for engine in [0, 1, 2, 0, 1, 2, 0] {
+        clock.advance(1);
+        engines[engine].iterate();
+    }
+    for (node, rx) in [1, 2].into_iter().zip(&receivers) {
+        let r = apps[node].recv(rx).unwrap().expect("warm-up frame");
+        apps[node]
+            .provide_receive_buffer(rx, r.token)
+            .map_err(|r| r.error)
+            .unwrap();
+    }
+    for (ep, dest) in &senders {
+        for _ in 0..16 {
+            let t = apps[0].buffer_allocate().unwrap();
+            apps[0].send(ep, t, *dest).map_err(|r| r.error).unwrap();
+        }
+    }
+    let first_to = [senders[0].0.index(), senders[senders.len() - 1].0.index()];
+    let mut orders = [Vec::new(), Vec::new()];
+    for round in 0..60 {
+        for _ in 0..passes {
+            clock.advance(1);
+            engines[0].iterate();
+        }
+        engines[1].iterate();
+        if round % 2 == 1 {
+            engines[2].iterate();
+        }
+        for (k, node) in [1, 2].into_iter().enumerate() {
+            while let Some(r) = apps[node].recv(&receivers[k]).unwrap() {
+                orders[k].push(r.from.index() == first_to[k]);
+                apps[node]
+                    .provide_receive_buffer(&receivers[k], r.token)
+                    .map_err(|r| r.error)
+                    .unwrap();
+            }
+        }
+        // Resend every completed buffer: every queue stays backlogged.
+        for (ep, dest) in &senders {
+            while let Some(t) = apps[0].reclaim_send(ep).unwrap() {
+                apps[0].send(ep, t, *dest).map_err(|r| r.error).unwrap();
+            }
+        }
+    }
+    let granted = sender_stats.unwrap().snapshot().paths[0].credit_window;
+    (orders, granted)
 }
 
 /// One step of an adversarial sender-side schedule.
@@ -141,56 +314,43 @@ proptest! {
         prop_assert_eq!(g.window(), window, "regrow must reach the ceiling");
     }
 
-    /// DRR fairness bound: once a latency-critical endpoint has declared
-    /// demand (one refused request), an adversarial bulk endpoint sharing
-    /// the path admits at most two quanta of frames between consecutive
-    /// grants to the waiting endpoint — the bulk tier cannot starve the
-    /// high tier no matter how aggressively it retries.
+    /// Fairness is the engine's, not the transport's: two backlogged
+    /// equal-importance endpoints sharing one credit-clamped peer path
+    /// both progress, and neither sends more than one `max_batch` turn in
+    /// a row while the other waits. That holds however many drain passes
+    /// find the window full between acks, and whatever a third sender
+    /// does meanwhile: a `Low` node-local one, or a second peer path,
+    /// itself contended or not, acked out of step with the first.
     #[test]
-    fn a_greedy_bulk_endpoint_cannot_starve_a_waiting_one(
-        quantum in 1u32..6,
+    fn a_backlogged_endpoint_cannot_starve_its_peer_on_a_shared_path(
         window in 2u32..12,
-        steps in proptest::collection::vec((0u32..4, 0u32..8), 8..96),
+        max_batch in 1u32..6,
+        passes in 1usize..4,
+        neighbour in neighbour(),
     ) {
-        let mut arb = DrrArbiter::new(&NetConfig {
-            drr_quantum: quantum,
-            ..NetConfig::default()
-        });
-        let mut in_flight = 0u32;
-        let mut now = 0u64;
-        let mut high_waiting = false;
-        let mut bulk_since_high = 0u32;
-        for (acked, bulk_tries) in &steps {
-            now += 1;
-            in_flight = in_flight.saturating_sub(*acked);
-            // The bulk producer hammers the path first every step.
-            for _ in 0..*bulk_tries {
-                let free = window.saturating_sub(in_flight);
-                if arb.request(0, now, free) {
-                    if free == 0 {
-                        // The arbiter only meters fairness; the window
-                        // gate lives in the transport.
-                        continue;
-                    }
-                    in_flight += 1;
-                    if high_waiting {
-                        bulk_since_high += 1;
-                        prop_assert!(
-                            bulk_since_high <= 2 * quantum,
-                            "bulk admitted {bulk_since_high} frames past a waiting \
-                             endpoint (quantum {quantum})"
-                        );
-                    }
-                }
-            }
-            // Then the latency-critical endpoint asks for one slot.
-            let free = window.saturating_sub(in_flight);
-            if arb.request(1, now, free) && free > 0 {
-                in_flight += 1;
-                high_waiting = false;
-                bulk_since_high = 0;
-            } else {
-                high_waiting = true;
+        let ([to_node1, to_node2], granted) =
+            backlogged_arrivals(window, max_batch, passes, neighbour);
+        prop_assert_eq!(granted, window, "the grant, not the configured window, must bound the path");
+        let mut paths = vec![("A/B to node 1", to_node1)];
+        if neighbour == Neighbour::ContendedOtherPeer {
+            paths.push(("C/D to node 2", to_node2));
+        }
+        for (path, order) in paths {
+            let first = order.iter().filter(|&&x| x).count();
+            let second = order.len() - first;
+            prop_assert!(first > 0 && second > 0, "{path} starved one endpoint: {first} : {second}");
+            for from_first in [true, false] {
+                let longest = order
+                    .split(|&x| x != from_first)
+                    .map(<[bool]>::len)
+                    .max()
+                    .unwrap_or(0);
+                prop_assert!(
+                    longest <= max_batch as usize,
+                    "{path}: {longest} frames in a row from one endpoint past a \
+                     backlogged peer (window {window}, max_batch {max_batch}, \
+                     {passes} passes per ack, {neighbour:?})"
+                );
             }
         }
     }

@@ -328,7 +328,7 @@ pub fn expose_transport(expo: &mut Exposition, snap: &TransportSnapshot) {
             ),
             (
                 "flipc_net_credit_stalls_total",
-                "Sends refused by the credit grant or fairness arbiter.",
+                "Sends refused because the peer's credit grant was full.",
                 p.credit_stalls,
             ),
             (

@@ -142,7 +142,7 @@ flipc_net_stale_epoch_total{node=\"0\",peer=\"1\"} 2
 # HELP flipc_net_pings_total Idle-path heartbeat pings sent.
 # TYPE flipc_net_pings_total counter
 flipc_net_pings_total{node=\"0\",peer=\"1\"} 9
-# HELP flipc_net_credit_stalls_total Sends refused by the credit grant or fairness arbiter.
+# HELP flipc_net_credit_stalls_total Sends refused because the peer's credit grant was full.
 # TYPE flipc_net_credit_stalls_total counter
 flipc_net_credit_stalls_total{node=\"0\",peer=\"1\"} 13
 # HELP flipc_net_credit_shrinks_total Credit window shrink events (AIMD halvings and congestion clamps).

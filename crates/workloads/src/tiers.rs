@@ -115,19 +115,14 @@ struct TieredDispatcher {
 impl TieredDispatcher {
     /// Picks the class to serve next: the highest-priority backlogged
     /// class, unless the starvation budget is spent and a lower class
-    /// waits — then the topmost waiting lower class. Classes whose bit is
-    /// set in `blocked` (refused by the transport this burst — credit or
-    /// fairness backpressure on *their* endpoint) are passed over so one
-    /// stalled tier cannot freeze the others out of the burst.
-    fn pick(&mut self, queues: &[ClassQueue], blocked: u8, budget: u32) -> Option<usize> {
-        let ready = |i: usize, c: &ClassQueue| blocked & (1 << i) == 0 && !c.q.is_empty();
-        let top = queues.iter().enumerate().position(|(i, c)| ready(i, c))?;
+    /// waits — then the topmost waiting lower class.
+    fn pick(&mut self, queues: &[ClassQueue], budget: u32) -> Option<usize> {
+        let top = queues.iter().position(|c| !c.q.is_empty())?;
         let lower = queues
             .iter()
-            .enumerate()
             .skip(top + 1)
-            .find(|(i, c)| ready(*i, c))
-            .map(|(i, _)| i);
+            .position(|c| !c.q.is_empty())
+            .map(|i| top + 1 + i);
         match lower {
             Some(low) if self.streak >= budget => {
                 self.streak = 0;
@@ -236,13 +231,10 @@ impl Tiered {
                 self.counters[SENDER as usize].dropped += 1;
             }
         }
-        // Classes refused by the transport this burst (bitmask — at most
-        // four classes, and the hot path must not allocate).
-        let mut blocked: u8 = 0;
         for _ in 0..self.cfg.burst {
-            let Some(class) =
-                self.dispatcher
-                    .pick(&self.queues, blocked, self.cfg.starvation_budget)
+            let Some(class) = self
+                .dispatcher
+                .pick(&self.queues, self.cfg.starvation_budget)
             else {
                 break;
             };
@@ -261,12 +253,10 @@ impl Tiered {
                 .map(|tr| tr.try_send(f.dst.node(), &f))
                 .unwrap_or(false);
             if !sent {
-                // This class's endpoint was refused — the shared window
-                // is full, or the DRR arbiter is holding its slots for a
-                // competing tier. Only *this* class waits; the others may
-                // still own grants and get the rest of the burst.
-                blocked |= 1 << class;
-                continue;
+                // The transport refuses only when the shared (credit-
+                // clamped) window is full, which blocks every class
+                // alike: the burst is over.
+                break;
             }
             self.queues[class].q.pop_front();
             self.trace

@@ -329,9 +329,10 @@ fn high_tier_p99_holds_through_a_shaped_bottleneck() {
         // True congestion rather than loss: node 0's outbound wire is
         // token-bucket shaped to ~2 bytes per tick — roughly one tiered
         // datagram per 25-tick step — while bulk offers eight times
-        // that. The credit clamp plus the DRR arbiter must keep the
-        // high-class trickle flowing with a bounded p99 even though the
-        // bulk tier could fill every window slot many times over.
+        // that. The credit clamp (all the transport enforces) plus the
+        // dispatcher's strict priority must keep the high-class trickle
+        // flowing with a bounded p99 even though the bulk tier could
+        // fill every window slot many times over.
         let mut cfg = TierConfig::default();
         cfg.classes[2].deadline = 3_000;
         // RTO sized for a congested link: the initial timeout must sit
