@@ -5,45 +5,31 @@
 //! burst of messages is timed in deterministic engine rounds and in
 //! wall-clock time.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use flipc_bench::print_table;
-use flipc_core::api::Flipc;
-use flipc_core::commbuf::CommBuffer;
-use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
+use flipc_core::endpoint::{EndpointType, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
 use flipc_engine::loopback::fabric;
+use flipc_engine::node::InlineCluster;
 use flipc_engine::transport::Transport;
 use flipc_kkt::kkt_fabric;
 
 const BURST: usize = 64;
 
-fn build(transports: Vec<Box<dyn Transport>>) -> (Vec<Flipc>, Vec<Engine>) {
+fn build<T: Transport + 'static>(transports: Vec<T>) -> InlineCluster {
     let geo = Geometry {
         ring_capacity: 128,
         buffers: 256,
         ..Geometry::small()
     };
-    let mut flipc = Vec::new();
-    let mut engines = Vec::new();
-    for (i, port) in transports.into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("commbuf"));
-        let registry = WaitRegistry::new();
-        flipc.push(Flipc::attach(
-            cb.clone(),
-            FlipcNodeId(i as u16),
-            registry.clone(),
-        ));
-        engines.push(Engine::new(cb, port, registry, EngineConfig::default()));
-    }
-    (flipc, engines)
+    InlineCluster::over(transports, geo, EngineConfig::default()).expect("commbuf")
 }
 
 /// Sends a burst and returns (engine rounds, wall-clock µs) to deliver all.
-fn run(flipc: &[Flipc], engines: &mut [Engine]) -> (u32, f64) {
+fn run(mut cl: InlineCluster) -> (u32, f64) {
+    let flipc = [cl.node(0).attach(), cl.node(1).attach()];
     let tx = flipc[0]
         .endpoint_allocate(EndpointType::Send, Importance::Normal)
         .expect("ep");
@@ -69,8 +55,7 @@ fn run(flipc: &[Flipc], engines: &mut [Engine]) -> (u32, f64) {
     while received < BURST {
         rounds += 1;
         assert!(rounds < 10_000, "burst never delivered");
-        engines[0].iterate();
-        engines[1].iterate();
+        cl.pump();
         while flipc[1].recv(&rx).expect("recv").is_some() {
             received += 1;
         }
@@ -79,21 +64,8 @@ fn run(flipc: &[Flipc], engines: &mut [Engine]) -> (u32, f64) {
 }
 
 fn main() {
-    let (nf, mut ne) = build(
-        fabric(2, 256)
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Transport>)
-            .collect(),
-    );
-    let (native_rounds, native_us) = run(&nf, &mut ne);
-
-    let (kf, mut ke) = build(
-        kkt_fabric(2)
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Transport>)
-            .collect(),
-    );
-    let (kkt_rounds, kkt_us) = run(&kf, &mut ke);
+    let (native_rounds, native_us) = run(build(fabric(2, 256)));
+    let (kkt_rounds, kkt_us) = run(build(kkt_fabric(2)));
 
     print_table(
         &format!("Delivering a {BURST}-message burst: native engine vs KKT transport (host)"),

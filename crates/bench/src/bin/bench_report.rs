@@ -31,26 +31,21 @@
 //! an informational markdown delta table (for `$GITHUB_STEP_SUMMARY`) and
 //! always exits zero — the gate is `--compare`, never the trend.
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use flipc_bench::report::{
     compare, fit_slope, parse_tolerance, percentile, Direction, Metric, Report,
 };
 use flipc_core::api::{Flipc, LocalEndpoint};
-use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
 use flipc_engine::node::InlineCluster;
 use flipc_engine::transport::Transport;
 use flipc_engine::wire::Frame;
 use flipc_net::{
-    udp_transport, FaultConfig, FaultInjector, ManualClock, MemHub, NetConfig, NetTransport,
-    NodeAddr, NodeMap,
+    udp_pair, FaultConfig, FaultInjector, ManualClock, MemHub, NetConfig, NetTransport,
 };
 use flipc_obs::merge::{merge, NodeInput};
 use flipc_obs::{trace_ring, TraceEvent};
@@ -899,92 +894,81 @@ fn batched_throughput(quick: bool) -> f64 {
     }
 }
 
-/// One engine-driven node pair joined by real 127.0.0.1 UDP sockets, same
-/// bootstrap as the `flipc-net` ping demo; returns ping-pong RTTs (ns).
-fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
-    struct Node {
-        app: Flipc,
-        engine: Engine,
-        tx: LocalEndpoint,
-        rx: LocalEndpoint,
-    }
-
+/// Node 1 and node 0 of an engine pair joined by real 127.0.0.1 UDP
+/// sockets, in that order. Node 1 pings: it holds a static route to node
+/// 0, which learns node 1's ephemeral port from the first ping. So a
+/// cluster pump runs the pinger's engine first.
+fn udp_cluster(net: NetConfig) -> InlineCluster {
     let geo = Geometry {
         ring_capacity: 32,
         buffers: 128,
         ..Geometry::small()
     };
-    let mut map0 = NodeMap::new();
-    map0.insert(
-        FlipcNodeId(0),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    )
-    .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-    let t0 = udp_transport(&map0, FlipcNodeId(0), NetConfig::default()).expect("bind node 0");
-    let addr0 = t0.link().local_addr().expect("local addr");
-    let mut map1 = NodeMap::new();
-    map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-        FlipcNodeId(1),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    );
-    let t1 = udp_transport(&map1, FlipcNodeId(1), NetConfig::default()).expect("bind node 1");
+    let [t0, t1] = udp_pair(net).expect("bind the UDP pair");
+    InlineCluster::over([t1, t0], geo, EngineConfig::default()).expect("cluster")
+}
 
-    let mut nodes = Vec::new();
-    for (i, t) in [Box::new(t0), Box::new(t1)].into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(i as u16), registry.clone());
-        let engine = Engine::new(cb, t, registry, EngineConfig::default());
+/// One node's application handle, its send and receive endpoints, and
+/// the receive endpoint's address.
+struct PingEnds {
+    app: Flipc,
+    tx: LocalEndpoint,
+    rx: LocalEndpoint,
+    to: EndpointAddress,
+}
+
+/// Attaches to the pinger (cluster node 0) and the ponger (node 1).
+fn ping_ends(cl: &InlineCluster) -> [PingEnds; 2] {
+    [0, 1].map(|i| {
+        let app = cl.node(i).attach();
         let tx = alloc(&app, EndpointType::Send);
         let rx = alloc(&app, EndpointType::Receive);
-        nodes.push(Node {
-            app,
-            engine,
-            tx,
-            rx,
-        });
-    }
-    // The pinger must be node 1: it holds a static route to node 0, while
-    // node 0 only learns node 1's ephemeral port from the first arriving
-    // ping (same bootstrap as the flipc-net demo).
-    let mut a = nodes.pop().expect("node 1");
-    let mut b = nodes.pop().expect("node 0");
-    let to_b = b.app.address(&b.rx);
-    let to_a = a.app.address(&a.rx);
+        let to = app.address(&rx);
+        PingEnds { app, tx, rx, to }
+    })
+}
 
+/// One ping-pong: the pinger sends, the ponger echoes the buffer back,
+/// and the cluster is pumped inline until each hop lands.
+fn ping_round(cl: &mut InlineCluster, [a, b]: &[PingEnds; 2]) {
+    for n in [b, a] {
+        let buf = n.app.buffer_allocate().expect("buffer");
+        n.app
+            .provide_receive_buffer(&n.rx, buf)
+            .map_err(|r| r.error)
+            .expect("provide");
+    }
+    let ping = a.app.buffer_allocate().expect("buffer");
+    a.app.send_unlocked(&a.tx, ping, b.to).expect("send");
+    let got = loop {
+        cl.pump();
+        if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
+            break got;
+        }
+    };
+    b.app.send_unlocked(&b.tx, got.token, a.to).expect("send");
+    let back = loop {
+        cl.pump();
+        if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
+            break back;
+        }
+    };
+    a.app.buffer_free(back.token);
+    for n in [a, b] {
+        while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
+            n.app.buffer_free(tok);
+        }
+    }
+}
+
+/// Ping-pong RTTs (ns) over [`udp_cluster`].
+fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
+    let mut cl = udp_cluster(NetConfig::default());
+    let ends = ping_ends(&cl);
     let mut rtts = Vec::with_capacity(iters);
     for i in 0..warmup + iters {
         let start = Instant::now();
-        for n in [&b, &a] {
-            let buf = n.app.buffer_allocate().expect("buffer");
-            n.app
-                .provide_receive_buffer(&n.rx, buf)
-                .map_err(|r| r.error)
-                .expect("provide");
-        }
-        let ping = a.app.buffer_allocate().expect("buffer");
-        a.app.send_unlocked(&a.tx, ping, to_b).expect("send");
-        let got = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
-                break got;
-            }
-        };
-        b.app.send_unlocked(&b.tx, got.token, to_a).expect("send");
-        let back = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
-                break back;
-            }
-        };
-        a.app.buffer_free(back.token);
-        for n in [&a, &b] {
-            while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
-                n.app.buffer_free(tok);
-            }
-        }
+        ping_round(&mut cl, &ends);
         if i >= warmup {
             rtts.push(start.elapsed().as_nanos() as u64);
         }
@@ -1001,62 +985,18 @@ fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
 /// clock and reconstructs the cross-node send→deliver chains. Returns
 /// `(p50, p99)` of the merged chain latencies in ns.
 fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
-    struct Node {
-        app: Flipc,
-        engine: Engine,
-        tx: LocalEndpoint,
-        rx: LocalEndpoint,
-    }
-
-    let geo = Geometry {
-        ring_capacity: 32,
-        buffers: 128,
-        ..Geometry::small()
-    };
     // Fast heartbeats (2 ms in the transport's µs ticks) so the clock
     // exchange collects samples inside a bench-sized run.
-    let net = NetConfig {
+    let mut cl = udp_cluster(NetConfig {
         heartbeat_interval: 2_000,
         ..NetConfig::default()
-    };
-    let mut map0 = NodeMap::new();
-    map0.insert(
-        FlipcNodeId(0),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    )
-    .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-    let t0 = udp_transport(&map0, FlipcNodeId(0), net).expect("bind node 0");
-    let addr0 = t0.link().local_addr().expect("local addr");
-    let mut map1 = NodeMap::new();
-    map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-        FlipcNodeId(1),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    );
-    let t1 = udp_transport(&map1, FlipcNodeId(1), net).expect("bind node 1");
-
-    let mut nodes = Vec::new();
-    let mut readers = Vec::new();
-    for (i, t) in [Box::new(t0), Box::new(t1)].into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(i as u16), registry.clone());
-        let mut engine = Engine::new(cb, t, registry, EngineConfig::default());
-        let (tw, tr) = trace_ring(4096);
-        engine.set_trace(tw);
-        readers.push(tr);
-        let tx = alloc(&app, EndpointType::Send);
-        let rx = alloc(&app, EndpointType::Receive);
-        nodes.push(Node {
-            app,
-            engine,
-            tx,
-            rx,
-        });
-    }
-    let mut a = nodes.pop().expect("node 1");
-    let mut b = nodes.pop().expect("node 0");
-    let to_b = b.app.address(&b.rx);
-    let to_a = a.app.address(&a.rx);
+    });
+    // Trace readers by node id: node 0 is cluster node 1.
+    let mut readers = vec![
+        cl.engine_mut(1).install_trace(4096),
+        cl.engine_mut(0).install_trace(4096),
+    ];
+    let ends = ping_ends(&cl);
 
     let mut events: [Vec<TraceEvent>; 2] = [Vec::new(), Vec::new()];
     let mut lost = [0u64; 2];
@@ -1070,36 +1010,7 @@ fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
     };
 
     for i in 0..warmup + iters {
-        for n in [&b, &a] {
-            let buf = n.app.buffer_allocate().expect("buffer");
-            n.app
-                .provide_receive_buffer(&n.rx, buf)
-                .map_err(|r| r.error)
-                .expect("provide");
-        }
-        let ping = a.app.buffer_allocate().expect("buffer");
-        a.app.send_unlocked(&a.tx, ping, to_b).expect("send");
-        let got = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
-                break got;
-            }
-        };
-        b.app.send_unlocked(&b.tx, got.token, to_a).expect("send");
-        let back = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
-                break back;
-            }
-        };
-        a.app.buffer_free(back.token);
-        for n in [&a, &b] {
-            while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
-                n.app.buffer_free(tok);
-            }
-        }
+        ping_round(&mut cl, &ends);
         if i < warmup {
             // Events from the warmup window would skew the merged p99.
             drain(&mut readers, &mut events, &mut lost);
@@ -1114,8 +1025,7 @@ fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
             if i % 8 == 7 {
                 let until = Instant::now() + std::time::Duration::from_millis(5);
                 while Instant::now() < until {
-                    a.engine.iterate();
-                    b.engine.iterate();
+                    cl.pump();
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             }
@@ -1130,7 +1040,7 @@ fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
     // reference (node 0) clock. Zero samples (possible in ultra-short
     // quick runs) degrades to offset 0 — same process, same epoch, so
     // the true offset is 0 anyway.
-    let snap = a.engine.transport_snapshot().expect("node 1 snapshot");
+    let snap = cl.engine(0).transport_snapshot().expect("node 1 snapshot");
     let path = &snap.paths[0];
     let [ev0, ev1] = events;
     let merged = merge(&[

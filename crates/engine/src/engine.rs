@@ -34,7 +34,6 @@ use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, Importa
 use flipc_core::wait::WaitRegistry;
 use flipc_obs::{EngineTelemetry, TraceKind, TraceWriter};
 
-use crate::shaper::{Shaper, TokenBucket};
 use crate::transport::Transport;
 use crate::wire::Frame;
 
@@ -103,6 +102,19 @@ impl EngineStats {
     }
 }
 
+/// A per-endpoint transmit rate limit: a token bucket measured in payload
+/// bytes, refilled once per engine iteration (the event loop is the
+/// engine's clock).
+#[derive(Clone, Copy, Debug)]
+struct RateLimit {
+    /// Tokens added per iteration.
+    refill: u64,
+    /// Maximum accumulated tokens.
+    burst: u64,
+    /// Tokens available now; the bucket starts full.
+    tokens: u64,
+}
+
 /// One protection domain served by an engine: a communication buffer, its
 /// wait registry, the node-global endpoint-index base its endpoints are
 /// published at, and an optional restriction on where it may send.
@@ -167,7 +179,9 @@ pub struct Engine {
     service_order: Vec<u16>,
     /// The endpoints that moved a frame in the current pass, in order.
     served: Vec<u16>,
-    shaper: Shaper,
+    /// Transmit rate limits by node-global endpoint index; empty until
+    /// the first [`Engine::set_rate_limit`].
+    rate_limits: Vec<Option<RateLimit>>,
     /// Always-on wait-free histograms (iteration work, per-endpoint
     /// send→deliver latency). The engine is the single recorder.
     telemetry: Arc<EngineTelemetry>,
@@ -230,7 +244,7 @@ impl Engine {
             stats: Arc::new(EngineStats::default()),
             service_order: (0..flat_endpoints).collect(),
             served: Vec::with_capacity(usize::from(flat_endpoints)),
-            shaper: Shaper::new(),
+            rate_limits: Vec::new(),
             telemetry: EngineTelemetry::new(total_endpoints),
             trace: None,
         }
@@ -240,16 +254,28 @@ impl Engine {
     /// Future Work item 4) on endpoint slot `ep`: at most
     /// `bytes_per_iteration` payload bytes per event-loop pass, with up to
     /// `burst` bytes of accumulated credit. Messages over the limit stay
-    /// queued — nothing is dropped.
-    /// (`ep` is the node-global endpoint index: domain base + slot.)
+    /// queued — nothing is dropped. A message is charged only once it
+    /// has gone to the transport or been delivered locally; one the wire
+    /// refuses, or one denied or failed onto the drop counter, costs
+    /// nothing. (`ep` is the node-global endpoint index: domain base +
+    /// slot.)
     pub fn set_rate_limit(&mut self, ep: EndpointIndex, bytes_per_iteration: u64, burst: u64) {
-        self.shaper
-            .limit(ep.0, TokenBucket::new(bytes_per_iteration, burst));
+        let i = usize::from(ep.0);
+        if self.rate_limits.len() <= i {
+            self.rate_limits.resize(i + 1, None);
+        }
+        self.rate_limits[i] = Some(RateLimit {
+            refill: bytes_per_iteration,
+            burst,
+            tokens: burst,
+        });
     }
 
     /// Removes a previously installed rate limit.
     pub fn clear_rate_limit(&mut self, ep: EndpointIndex) {
-        self.shaper.unlimit(ep.0);
+        if let Some(limit) = self.rate_limits.get_mut(usize::from(ep.0)) {
+            *limit = None;
+        }
     }
 
     /// Shared statistics handle.
@@ -299,7 +325,9 @@ impl Engine {
     /// messages moved (sent + delivered + discarded). Zero means idle.
     pub fn iterate(&mut self) -> u32 {
         EngineStats::bump(&self.stats.iterations);
-        self.shaper.tick();
+        for limit in self.rate_limits.iter_mut().flatten() {
+            limit.tokens = limit.tokens.saturating_add(limit.refill).min(limit.burst);
+        }
         let mut work = 0;
         work += self.pump_incoming();
         work += self.pump_outgoing();
@@ -555,9 +583,13 @@ impl Engine {
             }
             let global_idx = index_base + idx.0;
             // Capacity control: if this endpoint's token bucket cannot
-            // cover the message, leave it queued and move on.
-            if !self.shaper.admit(global_idx, cb.payload_size() as u64) {
-                break;
+            // cover the message, leave it queued and move on. The tokens
+            // are spent below, once the message has actually moved.
+            let cost = cb.payload_size() as u64;
+            if let Some(Some(limit)) = self.rate_limits.get(usize::from(global_idx)) {
+                if limit.tokens < cost {
+                    break;
+                }
             }
             let (dest, _) = cb.header(buf).load();
             let Ok((gen, _)) = cb.endpoint_gen_active(idx) else {
@@ -629,6 +661,9 @@ impl Engine {
                 cb.header(buf).set_state(BufferState::Processed);
                 q.advance();
             }
+            if let Some(Some(limit)) = self.rate_limits.get_mut(usize::from(global_idx)) {
+                limit.tokens = limit.tokens.saturating_sub(cost);
+            }
             EngineStats::bump(&self.stats.sent);
             if let Some(t) = self.trace.as_mut() {
                 t.event(
@@ -649,13 +684,14 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::loopback::fabric;
+    use crate::node::InlineCluster;
     use flipc_core::api::Flipc;
     use flipc_core::endpoint::FlipcNodeId;
     use flipc_core::layout::Geometry;
 
     struct World {
         flipc: Vec<Flipc>,
-        engines: Vec<Engine>,
+        cl: InlineCluster,
     }
 
     fn world(n: usize) -> World {
@@ -663,20 +699,19 @@ mod tests {
     }
 
     fn world_with(n: usize, cfg: EngineConfig, geo: Geometry) -> World {
-        let ports = fabric(n, 64);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(cb, Box::new(port), registry, cfg));
-        }
-        World { flipc, engines }
+        let (flipc, cl) = cluster(fabric(n, 64), geo, cfg);
+        World { flipc, cl }
+    }
+
+    /// One inline node per transport, and an application handle on each.
+    pub(super) fn cluster<T: Transport + 'static>(
+        transports: impl IntoIterator<Item = T>,
+        geo: Geometry,
+        cfg: EngineConfig,
+    ) -> (Vec<Flipc>, InlineCluster) {
+        let cl = InlineCluster::over(transports, geo, cfg).unwrap();
+        let flipc = (0..cl.len()).map(|i| cl.node(i).attach()).collect();
+        (flipc, cl)
     }
 
     impl World {
@@ -684,9 +719,7 @@ mod tests {
             // A few sweeps so sends on node A arrive at node B within one
             // call even with local+remote hops.
             for _ in 0..4 {
-                for e in &mut self.engines {
-                    e.iterate();
-                }
+                self.cl.pump();
             }
         }
     }
@@ -745,7 +778,7 @@ mod tests {
             .map_err(|r| r.error)
             .unwrap();
         send_bytes(f, &tx, dest, b"local");
-        w.engines[0].iterate();
+        w.cl.engine_mut(0).iterate();
         let got = w.flipc[0].recv(&rx).unwrap().unwrap();
         assert_eq!(&w.flipc[0].payload(&got.token)[..5], b"local");
     }
@@ -833,7 +866,7 @@ mod tests {
             "stale traffic must not leak"
         );
         assert_eq!(w.flipc[1].misaddressed_reset(), 1);
-        assert_eq!(w.engines[1].stats().misaddressed.load(Ordering::Relaxed), 1);
+        assert_eq!(w.cl.engine_stats(1).misaddressed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -866,8 +899,7 @@ mod tests {
         send_bytes(&w.flipc[0], &hi, dest, b"missile!");
         // One outgoing slot this iteration: the high-importance endpoint
         // gets it despite being queued later.
-        w.engines[0].iterate();
-        w.engines[1].iterate();
+        w.cl.pump();
         let first = w.flipc[1].recv(&rx).unwrap().unwrap();
         assert_eq!(&w.flipc[1].payload(&first.token)[..8], b"missile!");
     }
@@ -876,25 +908,7 @@ mod tests {
     fn wire_backpressure_retries_without_loss() {
         // Wire depth 2, but 6 messages queued: the engine must deliver all
         // of them across iterations without losing or reordering any.
-        let ports = fabric(2, 2);
-        let geo = Geometry::small();
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            ));
-        }
+        let (flipc, mut cl) = cluster(fabric(2, 2), Geometry::small(), EngineConfig::default());
         let tx = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -915,8 +929,7 @@ mod tests {
             flipc[0].send(&tx, t, dest).unwrap();
         }
         for _ in 0..10 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         for i in 0..6u8 {
             let got = flipc[1].recv(&rx).unwrap().unwrap();
@@ -944,8 +957,8 @@ mod tests {
 
         // The engine must complete its iteration, flag the check failure,
         // and keep serving other traffic.
-        let stats = w.engines[0].stats();
-        w.engines[0].iterate();
+        let stats = w.cl.engine_stats(0);
+        w.cl.engine_mut(0).iterate();
         assert!(stats.check_failures.load(Ordering::Relaxed) >= 1);
 
         // Other endpoints still work end to end.
@@ -992,9 +1005,9 @@ mod tests {
             send_bytes(&w.flipc[0], &tx, dest, &[i]);
         }
         // One iteration can move at most outgoing_budget messages.
-        let moved = w.engines[0].iterate();
+        let moved = w.cl.engine_mut(0).iterate();
         assert!(moved <= 4, "engine exceeded its bounded work ({moved})");
-        assert_eq!(w.engines[0].stats().sent.load(Ordering::Relaxed), 4);
+        assert_eq!(w.cl.engine_stats(0).sent.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -1037,9 +1050,9 @@ mod tests {
 
 #[cfg(test)]
 mod shaping_tests {
+    use super::tests::cluster;
     use super::*;
-    use crate::loopback::fabric;
-    use flipc_core::api::Flipc;
+    use crate::loopback::{fabric, LoopbackPort};
     use flipc_core::endpoint::FlipcNodeId;
     use flipc_core::layout::Geometry;
 
@@ -1054,24 +1067,7 @@ mod shaping_tests {
             buffers: 128,
             ..Geometry::small()
         };
-        let ports = fabric(2, 256);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            ));
-        }
+        let (flipc, mut cl) = cluster(fabric(2, 256), geo, EngineConfig::default());
         let limited = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1091,7 +1087,8 @@ mod shaping_tests {
         }
         // One 120-byte payload per iteration for the limited endpoint.
         let payload = flipc[0].payload_size() as u64;
-        engines[0].set_rate_limit(limited.index(), payload, payload);
+        cl.engine_mut(0)
+            .set_rate_limit(limited.index(), payload, payload);
 
         for i in 0..8u8 {
             let mut t = flipc[0].buffer_allocate().unwrap();
@@ -1103,8 +1100,7 @@ mod shaping_tests {
         }
         // One iteration: the free endpoint drains entirely; the limited
         // one sends exactly one message (its per-iteration budget).
-        engines[0].iterate();
-        engines[1].iterate();
+        cl.pump();
         let mut limited_got = 0;
         let mut free_got = 0;
         while let Some(r) = flipc[1].recv(&rx).unwrap() {
@@ -1123,8 +1119,7 @@ mod shaping_tests {
         // The rest arrive over subsequent iterations — throttled, never
         // dropped.
         for _ in 0..10 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         while let Some(r) = flipc[1].recv(&rx).unwrap() {
             assert!(flipc[1].payload(&r.token)[0] < 100);
@@ -1142,24 +1137,7 @@ mod shaping_tests {
             buffers: 128,
             ..Geometry::small()
         };
-        let ports = fabric(2, 256);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            ));
-        }
+        let (flipc, mut cl) = cluster(fabric(2, 256), geo, EngineConfig::default());
         let tx = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1174,23 +1152,21 @@ mod shaping_tests {
                 .map_err(|r| r.error)
                 .unwrap();
         }
-        engines[0].set_rate_limit(tx.index(), 0, 0); // fully blocked
+        cl.engine_mut(0).set_rate_limit(tx.index(), 0, 0); // fully blocked
         for _ in 0..4 {
             let t = flipc[0].buffer_allocate().unwrap();
             flipc[0].send(&tx, t, dest).unwrap();
         }
         for _ in 0..5 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         assert!(
             flipc[1].recv(&rx).unwrap().is_none(),
             "blocked endpoint leaked"
         );
-        engines[0].clear_rate_limit(tx.index());
+        cl.engine_mut(0).clear_rate_limit(tx.index());
         for _ in 0..3 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         let mut got = 0;
         while flipc[1].recv(&rx).unwrap().is_some() {
@@ -1198,14 +1174,96 @@ mod shaping_tests {
         }
         assert_eq!(got, 4);
     }
+
+    /// A wire that refuses every other send, as a window that keeps
+    /// filling would, and whose failure detector reports node 2 dead.
+    struct FlakyWire {
+        inner: LoopbackPort,
+        refuse: bool,
+    }
+
+    impl Transport for FlakyWire {
+        fn try_send(&mut self, dst: FlipcNodeId, frame: &Frame) -> bool {
+            self.refuse = !self.refuse;
+            !self.refuse && self.inner.try_send(dst, frame)
+        }
+        fn try_recv(&mut self) -> Option<Frame> {
+            self.inner.try_recv()
+        }
+        fn local_node(&self) -> FlipcNodeId {
+            self.inner.local_node()
+        }
+        fn peer_down(&self, dst: FlipcNodeId) -> bool {
+            dst == FlipcNodeId(2)
+        }
+    }
+
+    /// A limited endpoint pays only for messages that move. It alternates
+    /// sends to live node 1 and dead node 2 over a wire that refuses every
+    /// other send, under a one-message-per-iteration limit with a
+    /// two-message burst. Each iteration still moves one message to node 1:
+    /// the refused attempt and the send failed onto the drop counter cost
+    /// no tokens, so they cannot eat the next pass's allowance.
+    #[test]
+    fn refused_and_failed_sends_do_not_spend_the_rate_limit() {
+        let geo = Geometry {
+            ring_capacity: 32,
+            buffers: 128,
+            ..Geometry::small()
+        };
+        let ports = fabric(3, 256).into_iter().map(|inner| FlakyWire {
+            inner,
+            refuse: true,
+        });
+        let (flipc, mut cl) = cluster(ports, geo, EngineConfig::default());
+        let tx = flipc[0]
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let rx = flipc[1]
+            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+            .unwrap();
+        let live = flipc[1].address(&rx);
+        let dead = EndpointAddress::new(FlipcNodeId(2), EndpointIndex(0), 1);
+        for _ in 0..15 {
+            let b = flipc[1].buffer_allocate().unwrap();
+            flipc[1]
+                .provide_receive_buffer(&rx, b)
+                .map_err(|r| r.error)
+                .unwrap();
+            for dest in [live, dead] {
+                let t = flipc[0].buffer_allocate().unwrap();
+                flipc[0].send(&tx, t, dest).unwrap();
+            }
+        }
+        let payload = flipc[0].payload_size() as u64;
+        cl.engine_mut(0)
+            .set_rate_limit(tx.index(), payload, 2 * payload);
+
+        const ITERATIONS: usize = 12;
+        for _ in 0..ITERATIONS {
+            cl.pump();
+        }
+        let mut got = 0;
+        while flipc[1].recv(&rx).unwrap().is_some() {
+            got += 1;
+        }
+        assert_eq!(
+            got, ITERATIONS,
+            "one message per iteration, as the rate allows"
+        );
+        assert_eq!(
+            cl.engine_stats(0).peer_down.load(Ordering::Relaxed),
+            ITERATIONS as u64
+        );
+        assert_eq!(flipc[1].drops_reset(&rx).unwrap(), 0);
+    }
 }
 
 #[cfg(test)]
 mod fairness_tests {
+    use super::tests::cluster;
     use super::*;
     use crate::loopback::fabric;
-    use flipc_core::api::Flipc;
-    use flipc_core::endpoint::FlipcNodeId;
     use flipc_core::layout::Geometry;
 
     /// Equal-importance endpoints share service round-robin: with a
@@ -1218,23 +1276,11 @@ mod fairness_tests {
             buffers: 128,
             ..Geometry::small()
         };
-        let ports = fabric(2, 256);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
         let cfg = EngineConfig {
             outgoing_budget: 1,
             ..Default::default()
         };
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(cb, Box::new(port), registry, cfg));
-        }
+        let (flipc, mut cl) = cluster(fabric(2, 256), geo, cfg);
         let ep_a = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1264,8 +1310,7 @@ mod fairness_tests {
         // a/b rather than aaaa bbbb.
         let mut order = Vec::new();
         for _ in 0..8 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
             while let Some(r) = flipc[1].recv(&rx).unwrap() {
                 order.push(flipc[1].payload(&r.token)[0]);
             }
@@ -1317,18 +1362,7 @@ mod fairness_tests {
             max_batch,
             ..Default::default()
         };
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in fabric(3, 4).into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(geo).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(cb, Box::new(port), registry, cfg));
-        }
+        let (flipc, mut cl) = cluster(fabric(3, 4), geo, cfg);
         let receivers = [1, 2].map(|node| {
             let rx = flipc[node]
                 .endpoint_allocate(EndpointType::Receive, Importance::Normal)
@@ -1381,11 +1415,11 @@ mod fairness_tests {
         let mut orders = [Vec::new(), Vec::new()];
         for round in 0..200 {
             for _ in 0..passes {
-                engines[0].iterate();
+                cl.engine_mut(0).iterate();
             }
-            engines[1].iterate();
+            cl.engine_mut(1).iterate();
             if round % 2 == 1 {
-                engines[2].iterate();
+                cl.engine_mut(2).iterate();
             }
             for (k, node) in [1, 2].into_iter().enumerate() {
                 while let Some(r) = flipc[node].recv(&receivers[k]).unwrap() {
@@ -1455,39 +1489,23 @@ mod fairness_tests {
 
 #[cfg(test)]
 mod lifecycle_tests {
+    use super::tests::cluster;
     use super::*;
     use crate::loopback::fabric;
+    use crate::node::InlineCluster;
     use flipc_core::api::Flipc;
     use flipc_core::endpoint::FlipcNodeId;
     use flipc_core::layout::Geometry;
 
-    fn pair() -> (Vec<Flipc>, Vec<Engine>) {
-        let ports = fabric(2, 64);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            ));
-        }
-        (flipc, engines)
+    fn pair() -> (Vec<Flipc>, InlineCluster) {
+        cluster(fabric(2, 64), Geometry::small(), EngineConfig::default())
     }
 
     /// An endpoint freed after its queue drains is skipped by subsequent
     /// scans, and a reallocated slot starts clean for the next tenant.
     #[test]
     fn freed_endpoint_is_skipped_and_slot_reuse_is_clean() {
-        let (flipc, mut engines) = pair();
+        let (flipc, mut cl) = pair();
         let tx = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1505,8 +1523,7 @@ mod lifecycle_tests {
         flipc[0].payload_mut(&mut t)[0] = 1;
         flipc[0].send(&tx, t, dest).unwrap();
         for _ in 0..6 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         assert!(flipc[1].recv(&rx).unwrap().is_some());
         // Drain and free the send endpoint.
@@ -1516,11 +1533,11 @@ mod lifecycle_tests {
         flipc[0].endpoint_free(tx).unwrap();
 
         // Engine keeps iterating without touching the freed slot.
-        let sent_before = engines[0].stats().sent.load(Ordering::Relaxed);
+        let sent_before = cl.engine_stats(0).sent.load(Ordering::Relaxed);
         for _ in 0..4 {
-            engines[0].iterate();
+            cl.engine_mut(0).iterate();
         }
-        assert_eq!(engines[0].stats().sent.load(Ordering::Relaxed), sent_before);
+        assert_eq!(cl.engine_stats(0).sent.load(Ordering::Relaxed), sent_before);
 
         // The slot's next tenant works immediately, with a new generation.
         let tx2 = flipc[0]
@@ -1536,8 +1553,7 @@ mod lifecycle_tests {
         flipc[0].payload_mut(&mut t)[0] = 2;
         flipc[0].send(&tx2, t, dest).unwrap();
         for _ in 0..6 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         let got = flipc[1].recv(&rx).unwrap().unwrap();
         assert_eq!(flipc[1].payload(&got.token)[0], 2);
@@ -1548,24 +1564,12 @@ mod lifecycle_tests {
     /// and nothing panics; restoring budgets resumes service.
     #[test]
     fn zero_budget_engine_is_inert_but_sound() {
-        let ports = fabric(2, 64);
         let cfg = EngineConfig {
             incoming_budget: 0,
             outgoing_budget: 0,
             ..Default::default()
         };
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(cb, Box::new(port), registry, cfg));
-        }
+        let (flipc, mut cl) = cluster(fabric(2, 64), Geometry::small(), cfg);
         let tx = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1581,8 +1585,7 @@ mod lifecycle_tests {
         let t = flipc[0].buffer_allocate().unwrap();
         flipc[0].send(&tx, t, dest).unwrap();
         for _ in 0..10 {
-            assert_eq!(engines[0].iterate(), 0);
-            assert_eq!(engines[1].iterate(), 0);
+            assert_eq!(cl.pump(), 0);
         }
         assert!(flipc[1].recv(&rx).unwrap().is_none());
     }
@@ -1612,19 +1615,12 @@ mod lifecycle_tests {
             }
         }
 
-        let mut ports = fabric(3, 64).into_iter();
-        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-        let registry = WaitRegistry::new();
-        let flipc = Flipc::attach(cb.clone(), FlipcNodeId(0), registry.clone());
-        let mut engine = Engine::new(
-            cb,
-            Box::new(DeadPeerPort {
-                inner: Box::new(ports.next().unwrap()),
-                dead: FlipcNodeId(2),
-            }),
-            registry,
-            EngineConfig::default(),
-        );
+        let port = DeadPeerPort {
+            inner: Box::new(fabric(3, 64).swap_remove(0)),
+            dead: FlipcNodeId(2),
+        };
+        let (apps, mut cl) = cluster([port], Geometry::small(), EngineConfig::default());
+        let flipc = &apps[0];
 
         let tx = flipc
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
@@ -1636,10 +1632,10 @@ mod lifecycle_tests {
         let t = flipc.buffer_allocate().unwrap();
         flipc.send(&tx, t, to_live).unwrap();
         for _ in 0..4 {
-            engine.iterate();
+            cl.pump();
         }
 
-        let stats = engine.stats();
+        let stats = cl.engine_stats(0);
         assert_eq!(stats.peer_down.load(Ordering::Relaxed), 1);
         assert_eq!(
             stats.sent.load(Ordering::Relaxed),
@@ -1665,11 +1661,8 @@ mod lifecycle_tests {
             outgoing_budget: 64,
             ..EngineConfig::default()
         };
-        let mut ports = fabric(2, 64).into_iter();
-        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-        let registry = WaitRegistry::new();
-        let flipc = Flipc::attach(cb.clone(), FlipcNodeId(0), registry.clone());
-        let mut engine = Engine::new(cb, Box::new(ports.next().unwrap()), registry, cfg);
+        let (apps, mut cl) = cluster([fabric(2, 64).swap_remove(0)], Geometry::small(), cfg);
+        let flipc = &apps[0];
         let tx = flipc
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -1678,13 +1671,13 @@ mod lifecycle_tests {
             let t = flipc.buffer_allocate().unwrap();
             flipc.send(&tx, t, dest).unwrap();
         }
-        let sent = |engine: &Engine| engine.stats().sent.load(Ordering::Relaxed);
-        engine.iterate();
-        assert_eq!(sent(&engine), 2, "first pass capped at max_batch");
-        engine.iterate();
-        assert_eq!(sent(&engine), 4, "second pass takes the next batch");
-        engine.iterate();
-        assert_eq!(sent(&engine), 5, "third pass drains the remainder");
+        let sent = |cl: &InlineCluster| cl.engine_stats(0).sent.load(Ordering::Relaxed);
+        cl.pump();
+        assert_eq!(sent(&cl), 2, "first pass capped at max_batch");
+        cl.pump();
+        assert_eq!(sent(&cl), 4, "second pass takes the next batch");
+        cl.pump();
+        assert_eq!(sent(&cl), 5, "third pass drains the remainder");
     }
 
     /// Every outgoing drain pass ends with exactly one
@@ -1725,19 +1718,12 @@ mod lifecycle_tests {
         }
 
         let tally = Tally::default();
-        let mut ports = fabric(2, 64).into_iter();
-        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-        let registry = WaitRegistry::new();
-        let flipc = Flipc::attach(cb.clone(), FlipcNodeId(0), registry.clone());
-        let mut engine = Engine::new(
-            cb,
-            Box::new(FlushCountingPort {
-                inner: Box::new(ports.next().unwrap()),
-                tally: tally.clone(),
-            }),
-            registry,
-            EngineConfig::default(),
-        );
+        let port = FlushCountingPort {
+            inner: Box::new(fabric(2, 64).swap_remove(0)),
+            tally: tally.clone(),
+        };
+        let (apps, mut cl) = cluster([port], Geometry::small(), EngineConfig::default());
+        let flipc = &apps[0];
 
         let tx = flipc
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
@@ -1748,7 +1734,7 @@ mod lifecycle_tests {
             flipc.send(&tx, t, dest).unwrap();
         }
         for i in 1..=4u32 {
-            engine.iterate();
+            cl.pump();
             assert_eq!(
                 tally.flushes.load(Ordering::Relaxed),
                 i,

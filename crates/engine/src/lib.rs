@@ -20,7 +20,6 @@
 pub mod engine;
 pub mod loopback;
 pub mod node;
-pub mod shaper;
 pub mod spsc;
 pub mod thread;
 pub mod transport;
@@ -29,7 +28,6 @@ pub mod wire;
 pub use engine::{Domain, Engine, EngineConfig, EngineStats};
 pub use loopback::{fabric, LoopbackPort};
 pub use node::{InlineCluster, NodeCore, ThreadedCluster};
-pub use shaper::{Shaper, TokenBucket};
 pub use thread::{spawn_engine, spawn_engine_traced, EngineHandle};
 pub use transport::Transport;
 pub use wire::Frame;

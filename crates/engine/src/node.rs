@@ -7,6 +7,9 @@
 //! * [`InlineCluster`] — engines are pumped explicitly by the caller,
 //!   "implemented as part of the operating system kernel for debugging
 //!   purposes": fully deterministic, used heavily by tests.
+//!
+//! [`InlineCluster::over`] is the one place a transport becomes a node;
+//! every other constructor here builds through it.
 
 use std::sync::Arc;
 
@@ -20,6 +23,7 @@ use flipc_core::wait::WaitRegistry;
 use crate::engine::{Engine, EngineConfig, EngineStats};
 use crate::loopback::fabric;
 use crate::thread::{spawn_engine, spawn_engine_traced, EngineHandle};
+use crate::transport::Transport;
 
 /// Shared node state applications attach to.
 #[derive(Clone)]
@@ -45,23 +49,6 @@ impl NodeCore {
     pub fn commbuf(&self) -> &Arc<CommBuffer> {
         &self.cb
     }
-}
-
-fn build_cores(n: usize, geo: Geometry) -> Result<Vec<(NodeCore, Arc<WaitRegistry>)>> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let cb = Arc::new(CommBuffer::new(geo)?);
-        let registry = WaitRegistry::new();
-        out.push((
-            NodeCore {
-                id: FlipcNodeId(i as u16),
-                cb,
-                registry: registry.clone(),
-            },
-            registry,
-        ));
-    }
-    Ok(out)
 }
 
 /// A cluster whose engines run on dedicated threads.
@@ -95,22 +82,15 @@ impl ThreadedCluster {
         cfg: EngineConfig,
         trace_capacity: Option<usize>,
     ) -> Result<ThreadedCluster> {
-        let ports = fabric(n, 256);
-        let cores = build_cores(n, geo)?;
-        let mut handles = Vec::with_capacity(n);
-        let mut out_cores = Vec::with_capacity(n);
-        for ((core, registry), port) in cores.into_iter().zip(ports) {
-            let engine = Engine::new(core.cb.clone(), Box::new(port), registry, cfg);
-            handles.push(match trace_capacity {
+        let InlineCluster { cores, engines } = InlineCluster::new(n, geo, cfg)?;
+        let handles = engines
+            .into_iter()
+            .map(|engine| match trace_capacity {
                 Some(cap) => spawn_engine_traced(engine, cap),
                 None => spawn_engine(engine),
-            });
-            out_cores.push(core);
-        }
-        Ok(ThreadedCluster {
-            cores: out_cores,
-            handles,
-        })
+            })
+            .collect();
+        Ok(ThreadedCluster { cores, handles })
     }
 
     /// Number of nodes.
@@ -163,12 +143,32 @@ pub struct InlineCluster {
 impl InlineCluster {
     /// Builds `n` nodes on a loopback fabric with inline engines.
     pub fn new(n: usize, geo: Geometry, cfg: EngineConfig) -> Result<InlineCluster> {
-        let ports = fabric(n, 256);
-        let built = build_cores(n, geo)?;
-        let mut cores = Vec::with_capacity(n);
-        let mut engines = Vec::with_capacity(n);
-        for ((core, registry), port) in built.into_iter().zip(ports) {
-            engines.push(Engine::new(core.cb.clone(), Box::new(port), registry, cfg));
+        InlineCluster::over(fabric(n, 256), geo, cfg)
+    }
+
+    /// Builds one node per transport, in the given order: a fresh
+    /// communication buffer and wait registry, and an engine over the
+    /// transport. Each node's id is its transport's
+    /// [`Transport::local_node`], so `node(i)` need not be node `i`.
+    pub fn over<T: Transport + 'static>(
+        transports: impl IntoIterator<Item = T>,
+        geo: Geometry,
+        cfg: EngineConfig,
+    ) -> Result<InlineCluster> {
+        let mut cores = Vec::new();
+        let mut engines = Vec::new();
+        for transport in transports {
+            let core = NodeCore {
+                id: transport.local_node(),
+                cb: Arc::new(CommBuffer::new(geo)?),
+                registry: WaitRegistry::new(),
+            };
+            engines.push(Engine::new(
+                core.cb.clone(),
+                Box::new(transport),
+                core.registry.clone(),
+                cfg,
+            ));
             cores.push(core);
         }
         Ok(InlineCluster { cores, engines })
@@ -197,6 +197,11 @@ impl InlineCluster {
     /// Node `i`'s engine telemetry.
     pub fn engine_telemetry(&self, i: usize) -> Arc<flipc_obs::EngineTelemetry> {
         self.engines[i].telemetry()
+    }
+
+    /// Node `i`'s engine (e.g. for its transport snapshot).
+    pub fn engine(&self, i: usize) -> &Engine {
+        &self.engines[i]
     }
 
     /// Mutable access to node `i`'s engine (e.g. to install rate limits).
@@ -230,6 +235,7 @@ impl InlineCluster {
 mod tests {
     use super::*;
     use flipc_core::endpoint::{EndpointType, Importance};
+    use flipc_core::sync::atomic::Ordering;
 
     #[test]
     fn inline_cluster_roundtrip() {
@@ -253,6 +259,33 @@ mod tests {
         assert!(cl.pump_until_idle(16));
         let got = c.recv(&rx).unwrap().unwrap();
         assert_eq!(&c.payload(&got.token)[..2], b"ok");
+    }
+
+    #[test]
+    fn over_takes_node_ids_from_the_transports() {
+        let node1 = fabric(2, 8).pop().unwrap();
+        let mut cl =
+            InlineCluster::over([node1], Geometry::small(), EngineConfig::default()).unwrap();
+        assert_eq!(cl.len(), 1);
+        assert_eq!(cl.node(0).id(), FlipcNodeId(1));
+        let app = cl.node(0).attach();
+        let tx = app
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let rx = app
+            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+            .unwrap();
+        assert_eq!(app.address(&tx).node(), FlipcNodeId(1));
+        assert_eq!(app.address(&rx).node(), FlipcNodeId(1));
+        let b = app.buffer_allocate().unwrap();
+        app.provide_receive_buffer(&rx, b)
+            .map_err(|r| r.error)
+            .unwrap();
+        let t = app.buffer_allocate().unwrap();
+        app.send(&tx, t, app.address(&rx)).unwrap();
+        assert!(cl.pump_until_idle(8));
+        let got = app.recv(&rx).unwrap().expect("node-local delivery");
+        assert_eq!(got.from, app.address(&tx));
     }
 
     #[test]
@@ -304,6 +337,12 @@ mod tests {
             .recv_blocking(&rx, std::time::Duration::from_secs(10))
             .unwrap();
         assert_eq!(&b.payload(&got.token)[..5], b"hello");
+        let stats = cl.engine_stats(1).clone();
         cl.shutdown();
+        assert_eq!(
+            stats.delivered.load(Ordering::Relaxed),
+            1,
+            "the stopped engine reports its one delivery"
+        );
     }
 }

@@ -136,59 +136,9 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::loopback::fabric;
-    use flipc_core::api::Flipc;
     use flipc_core::commbuf::CommBuffer;
-    use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
     use flipc_core::layout::Geometry;
     use flipc_core::wait::WaitRegistry;
-
-    #[test]
-    fn threaded_engines_deliver_between_nodes() {
-        let ports = fabric(2, 64);
-        let mut flipc = Vec::new();
-        let mut handles = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            handles.push(spawn_engine(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            )));
-        }
-        let tx = flipc[0]
-            .endpoint_allocate(EndpointType::Send, Importance::Normal)
-            .unwrap();
-        let rx = flipc[1]
-            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
-            .unwrap();
-        let dest = flipc[1].address(&rx);
-        let b = flipc[1].buffer_allocate().unwrap();
-        flipc[1]
-            .provide_receive_buffer(&rx, b)
-            .map_err(|r| r.error)
-            .unwrap();
-
-        let mut t = flipc[0].buffer_allocate().unwrap();
-        flipc[0].payload_mut(&mut t)[..4].copy_from_slice(b"ping");
-        flipc[0].send(&tx, t, dest).unwrap();
-
-        // Blocking receive rides the engine's wakeup.
-        let got = flipc[1]
-            .recv_blocking(&rx, std::time::Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(&flipc[1].payload(&got.token)[..4], b"ping");
-
-        let h = handles.pop().unwrap();
-        let engine = h.stop();
-        assert_eq!(engine.stats().delivered.load(Ordering::Relaxed), 1);
-    }
 
     #[test]
     fn handle_drop_stops_cleanly() {

@@ -198,32 +198,14 @@ mod tests {
 
     #[test]
     fn engine_runs_unchanged_over_kkt() {
-        use flipc_core::api::Flipc;
-        use flipc_core::commbuf::CommBuffer;
         use flipc_core::endpoint::{EndpointType, Importance};
         use flipc_core::layout::Geometry;
-        use flipc_core::wait::WaitRegistry;
-        use flipc_engine::engine::{Engine, EngineConfig};
-        use std::sync::Arc;
+        use flipc_engine::engine::EngineConfig;
+        use flipc_engine::node::InlineCluster;
 
-        let ports = kkt_fabric(2);
-        let mut flipc = Vec::new();
-        let mut engines = Vec::new();
-        for (i, port) in ports.into_iter().enumerate() {
-            let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-            let registry = WaitRegistry::new();
-            flipc.push(Flipc::attach(
-                cb.clone(),
-                FlipcNodeId(i as u16),
-                registry.clone(),
-            ));
-            engines.push(Engine::new(
-                cb,
-                Box::new(port),
-                registry,
-                EngineConfig::default(),
-            ));
-        }
+        let mut cl =
+            InlineCluster::over(kkt_fabric(2), Geometry::small(), EngineConfig::default()).unwrap();
+        let flipc = [cl.node(0).attach(), cl.node(1).attach()];
         let tx = flipc[0]
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .unwrap();
@@ -245,8 +227,7 @@ mod tests {
         }
         // KKT needs extra pump rounds: one message per path per round trip.
         for _ in 0..20 {
-            engines[0].iterate();
-            engines[1].iterate();
+            cl.pump();
         }
         for i in 0..5u8 {
             let got = flipc[1].recv(&rx).unwrap().unwrap();
@@ -260,34 +241,16 @@ mod tests {
         // The structural penalty: moving a burst of K messages over KKT
         // takes ~K engine round-trips, where the native loopback moves them
         // in one. This is E10's mechanism, verified deterministically.
-        use flipc_core::api::Flipc;
-        use flipc_core::commbuf::CommBuffer;
         use flipc_core::endpoint::{EndpointType, Importance};
         use flipc_core::layout::Geometry;
-        use flipc_core::wait::WaitRegistry;
-        use flipc_engine::engine::{Engine, EngineConfig};
+        use flipc_engine::engine::EngineConfig;
         use flipc_engine::loopback::fabric;
-        use std::sync::Arc;
+        use flipc_engine::node::InlineCluster;
 
         const K: usize = 8;
 
-        fn build(transports: Vec<Box<dyn Transport>>) -> (Vec<Flipc>, Vec<Engine>) {
-            let mut flipc = Vec::new();
-            let mut engines = Vec::new();
-            for (i, port) in transports.into_iter().enumerate() {
-                let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-                let registry = WaitRegistry::new();
-                flipc.push(Flipc::attach(
-                    cb.clone(),
-                    FlipcNodeId(i as u16),
-                    registry.clone(),
-                ));
-                engines.push(Engine::new(cb, port, registry, EngineConfig::default()));
-            }
-            (flipc, engines)
-        }
-
-        fn rounds_to_deliver(mut engines: Vec<Engine>, flipc: &[Flipc]) -> u32 {
+        fn rounds_to_deliver(mut cl: InlineCluster) -> u32 {
+            let flipc = [cl.node(0).attach(), cl.node(1).attach()];
             let tx = flipc[0]
                 .endpoint_allocate(EndpointType::Send, Importance::Normal)
                 .unwrap();
@@ -312,8 +275,7 @@ mod tests {
             while received < K {
                 rounds += 1;
                 assert!(rounds < 100, "never delivered");
-                engines[0].iterate();
-                engines[1].iterate();
+                cl.pump();
                 while flipc[1].recv(&rx).unwrap().is_some() {
                     received += 1;
                 }
@@ -321,21 +283,10 @@ mod tests {
             rounds
         }
 
-        let (nf, ne) = build(
-            fabric(2, 64)
-                .into_iter()
-                .map(|p| Box::new(p) as Box<dyn Transport>)
-                .collect(),
-        );
-        let native_rounds = rounds_to_deliver(ne, &nf);
-
-        let (kf, ke) = build(
-            kkt_fabric(2)
-                .into_iter()
-                .map(|p| Box::new(p) as Box<dyn Transport>)
-                .collect(),
-        );
-        let kkt_rounds = rounds_to_deliver(ke, &kf);
+        let (geo, cfg) = (Geometry::small(), EngineConfig::default());
+        let native_rounds =
+            rounds_to_deliver(InlineCluster::over(fabric(2, 64), geo, cfg).unwrap());
+        let kkt_rounds = rounds_to_deliver(InlineCluster::over(kkt_fabric(2), geo, cfg).unwrap());
 
         assert!(
             kkt_rounds >= native_rounds * 4,

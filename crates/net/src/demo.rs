@@ -25,10 +25,9 @@ use flipc_engine::engine::{Engine, EngineConfig};
 use flipc_engine::thread::spawn_engine;
 use std::sync::Arc;
 
-use crate::peers::{NodeAddr, NodeMap};
 use crate::reliability::NetConfig;
 use crate::transport::{udp_transport, NetTransport};
-use crate::udp::UdpLink;
+use crate::udp::{loopback_map, UdpLink};
 
 /// Node id the server runs as.
 pub const SERVER_NODE: FlipcNodeId = FlipcNodeId(0);
@@ -53,12 +52,7 @@ fn build_node(
 /// `LISTEN <port>` and `INBOX <packed-address>` on stdout, then echoes
 /// `rounds` pings back to the address each ping carries in its payload.
 pub fn run_server(port: u16, rounds: u32) -> std::io::Result<()> {
-    let mut map = NodeMap::new();
-    map.insert(
-        SERVER_NODE,
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], port))),
-    )
-    .insert(CLIENT_NODE, NodeAddr::Dynamic);
+    let map = loopback_map(SERVER_NODE, SocketAddr::from(([127, 0, 0, 1], port)));
     let transport = udp_transport(&map, SERVER_NODE, NetConfig::default())?;
     let bound = transport.link().local_addr()?;
     let stats = transport.stats();
@@ -170,12 +164,7 @@ pub fn run_client(
     server_inbox: u64,
     rounds: u32,
 ) -> std::io::Result<Duration> {
-    let mut map = NodeMap::new();
-    map.insert(SERVER_NODE, NodeAddr::Static(server_addr))
-        .insert(
-            CLIENT_NODE,
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        );
+    let map = loopback_map(CLIENT_NODE, server_addr);
     let transport = udp_transport(&map, CLIENT_NODE, NetConfig::default())?;
     let stats = transport.stats();
     let (app, _engine) = build_node(transport, CLIENT_NODE);

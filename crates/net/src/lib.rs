@@ -50,6 +50,11 @@
 //! // Engine::new(cb, Box::new(transport), registry, cfg) ...
 //! # Ok::<(), std::io::Error>(())
 //! ```
+//!
+//! For two nodes in one process, [`udp_pair`] binds both on 127.0.0.1
+//! over [`loopback_map`], the one pair bootstrap: node 1 speaks first and
+//! node 0 learns its port from that datagram.
+//! `flipc_engine::node::InlineCluster::over` turns the pair into nodes.
 
 pub mod chaos;
 pub mod clock;
@@ -73,4 +78,4 @@ pub use peers::{NodeAddr, NodeMap, NodeMapError};
 pub use reliability::{ClockSync, NetConfig};
 pub use stats::NetStats;
 pub use transport::{udp_transport, NetTransport};
-pub use udp::UdpLink;
+pub use udp::{loopback_map, udp_pair, UdpLink};

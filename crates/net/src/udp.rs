@@ -20,8 +20,11 @@ use std::net::{SocketAddr, UdpSocket};
 
 use flipc_core::endpoint::FlipcNodeId;
 
+use crate::clock::MonotonicClock;
 use crate::link::Link;
 use crate::peers::{NodeAddr, NodeMap};
+use crate::reliability::NetConfig;
+use crate::transport::{udp_transport, NetTransport};
 
 /// A non-blocking UDP socket speaking to peers from a [`NodeMap`].
 #[derive(Debug)]
@@ -130,31 +133,58 @@ impl Link for UdpLink {
     }
 }
 
+/// The boot map of one node of a two-node loopback pair, as `local`
+/// sees it. Node 0 binds `node0_addr` and has no address for node 1
+/// until node 1's first datagram arrives (`Dynamic`); node 1 binds an
+/// ephemeral port on 127.0.0.1 and routes to `node0_addr`. So traffic
+/// starts at node 1.
+pub fn loopback_map(local: FlipcNodeId, node0_addr: SocketAddr) -> NodeMap {
+    let node1 = if local == FlipcNodeId(0) {
+        NodeAddr::Dynamic
+    } else {
+        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0)))
+    };
+    let mut map = NodeMap::new();
+    map.insert(FlipcNodeId(0), NodeAddr::Static(node0_addr))
+        .insert(FlipcNodeId(1), node1);
+    map
+}
+
+/// Binds both nodes of a loopback pair over [`loopback_map`] in one
+/// process: node 0 on an ephemeral port first, then node 1 routed to it.
+pub fn udp_pair(cfg: NetConfig) -> std::io::Result<[NetTransport<UdpLink, MonotonicClock>; 2]> {
+    let node0 = FlipcNodeId(0);
+    let t0 = udp_transport(
+        &loopback_map(node0, SocketAddr::from(([127, 0, 0, 1], 0))),
+        node0,
+        cfg,
+    )?;
+    let node1 = FlipcNodeId(1);
+    let t1 = udp_transport(&loopback_map(node1, t0.link().local_addr()?), node1, cfg)?;
+    Ok([t0, t1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peers::NodeMap;
+    use flipc_core::endpoint::{EndpointAddress, EndpointIndex};
+    use flipc_engine::transport::Transport;
+    use flipc_engine::wire::Frame;
+
+    /// Node 0's and node 1's links over [`loopback_map`], bound race-free:
+    /// node 1 knows node 0's real address, node 0 learns node 1's from a
+    /// first packet + associate (the client-server pattern).
+    fn loopback_links() -> [UdpLink; 2] {
+        let any = SocketAddr::from(([127, 0, 0, 1], 0));
+        let a = UdpLink::bind(&loopback_map(FlipcNodeId(0), any), FlipcNodeId(0)).unwrap();
+        let node0 = a.local_addr().unwrap();
+        let b = UdpLink::bind(&loopback_map(FlipcNodeId(1), node0), FlipcNodeId(1)).unwrap();
+        [a, b]
+    }
 
     #[test]
     fn datagrams_cross_localhost() {
-        // Race-free construction: bind two ephemeral sockets and teach
-        // each link the other's real address (one statically, one learned
-        // from a first packet + associate — the client-server pattern).
-        let mut boot = NodeMap::new();
-        boot.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
-        let mut boot_b = NodeMap::new();
-        boot_b
-            .insert(
-                FlipcNodeId(1),
-                NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-            )
-            .insert(FlipcNodeId(0), NodeAddr::Static(a.local_addr().unwrap()));
-        let mut b = UdpLink::bind(&boot_b, FlipcNodeId(1)).unwrap();
+        let [mut a, mut b] = loopback_links();
 
         // b -> a: a learns b's address from the packet source.
         assert!(b.send(FlipcNodeId(0), b"ping"));
@@ -181,13 +211,7 @@ mod tests {
 
     #[test]
     fn send_without_address_is_refused() {
-        let mut boot = NodeMap::new();
-        boot.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
+        let [mut a, _] = loopback_links();
         assert!(
             !a.send(FlipcNodeId(1), b"x"),
             "dynamic peer not yet learned"
@@ -198,21 +222,7 @@ mod tests {
     #[cfg(all(feature = "mmsg", target_os = "linux"))]
     #[test]
     fn vectored_send_batch_crosses_localhost() {
-        let mut boot = NodeMap::new();
-        boot.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
-        let mut boot_b = NodeMap::new();
-        boot_b
-            .insert(
-                FlipcNodeId(1),
-                NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-            )
-            .insert(FlipcNodeId(0), NodeAddr::Static(a.local_addr().unwrap()));
-        let mut b = UdpLink::bind(&boot_b, FlipcNodeId(1)).unwrap();
+        let [mut a, mut b] = loopback_links();
 
         let datagrams: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 32]).collect();
         let refs: Vec<&[u8]> = datagrams.iter().map(|d| d.as_slice()).collect();
@@ -244,6 +254,38 @@ mod tests {
             a.send(FlipcNodeId(1), b"ack"),
             "associate learned from mmsg recv"
         );
+    }
+
+    /// The pair's transports exchange frames both ways once node 1 has
+    /// spoken first: node 0 learns node 1's port from that datagram.
+    #[test]
+    fn udp_pair_round_trips_from_node_1() {
+        let [mut t0, mut t1] = udp_pair(NetConfig::default()).unwrap();
+        assert_eq!(t0.local_node(), FlipcNodeId(0));
+        assert_eq!(t1.local_node(), FlipcNodeId(1));
+        let frame = |from: u16, to: u16, tag: u8| Frame {
+            src: EndpointAddress::new(FlipcNodeId(from), EndpointIndex(0), 1),
+            dst: EndpointAddress::new(FlipcNodeId(to), EndpointIndex(0), 1),
+            payload: vec![tag; 16].into(),
+            stamp_ns: 0,
+        };
+        let arrive = |to: &mut NetTransport<UdpLink, MonotonicClock>| {
+            for _ in 0..2_000 {
+                if let Some(f) = to.try_recv() {
+                    return Some(f);
+                }
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+            None
+        };
+        assert!(t1.try_send(FlipcNodeId(0), &frame(1, 0, 7)));
+        t1.flush();
+        let ping = arrive(&mut t0).expect("node 1 -> node 0");
+        assert_eq!(&ping.payload[..], &[7; 16]);
+        assert!(t0.try_send(FlipcNodeId(1), &frame(0, 1, 9)));
+        t0.flush();
+        let pong = arrive(&mut t1).expect("node 0 -> node 1");
+        assert_eq!(&pong.payload[..], &[9; 16]);
     }
 
     #[test]

@@ -9,14 +9,11 @@
 //! endpoint starving an equal-importance one past one `max_batch` turn,
 //! and drop-counter wraparound misread as fresh congestion.
 
-use std::sync::Arc;
-
 use flipc_core::api::Flipc;
-use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
+use flipc_engine::node::InlineCluster;
 use flipc_net::reliability::{CreditGrantor, SenderPath};
 use flipc_net::{ManualClock, MemHub, NetConfig, NetTransport};
 use proptest::prelude::*;
@@ -76,23 +73,20 @@ fn backlogged_arrivals(
     };
     let hub = MemHub::new(3, 4096);
     let clock = ManualClock::new();
-    let mut apps = Vec::new();
-    let mut engines = Vec::new();
-    let mut sender_stats = None;
-    for i in 0..3u16 {
-        let node = FlipcNodeId(i);
-        let (peers, net_cfg) = if i == 0 {
-            (vec![FlipcNodeId(1), FlipcNodeId(2)], cfg(64))
-        } else {
-            (vec![FlipcNodeId(0)], cfg(window))
-        };
-        let transport = NetTransport::new(node, &peers, hub.link(node), clock.clone(), net_cfg);
-        sender_stats.get_or_insert_with(|| transport.stats());
-        let cb = Arc::new(CommBuffer::new(geo).unwrap());
-        let registry = WaitRegistry::new();
-        apps.push(Flipc::attach(cb.clone(), node, registry.clone()));
-        engines.push(Engine::new(cb, Box::new(transport), registry, engine_cfg));
-    }
+    let transports: Vec<_> = (0..3u16)
+        .map(|i| {
+            let node = FlipcNodeId(i);
+            let (peers, net_cfg) = if i == 0 {
+                (vec![FlipcNodeId(1), FlipcNodeId(2)], cfg(64))
+            } else {
+                (vec![FlipcNodeId(0)], cfg(window))
+            };
+            NetTransport::new(node, &peers, hub.link(node), clock.clone(), net_cfg)
+        })
+        .collect();
+    let sender_stats = transports[0].stats();
+    let mut cl = InlineCluster::over(transports, geo, engine_cfg).unwrap();
+    let apps: Vec<Flipc> = (0..cl.len()).map(|i| cl.node(i).attach()).collect();
     let receivers = [1, 2].map(|node| {
         let rx = apps[node]
             .endpoint_allocate(EndpointType::Receive, Importance::Normal)
@@ -147,7 +141,7 @@ fn backlogged_arrivals(
     // Two rounds: with `max_batch` 1 the second frame leaves a pass later.
     for engine in [0, 1, 2, 0, 1, 2, 0] {
         clock.advance(1);
-        engines[engine].iterate();
+        cl.engine_mut(engine).iterate();
     }
     for (node, rx) in [1, 2].into_iter().zip(&receivers) {
         let r = apps[node].recv(rx).unwrap().expect("warm-up frame");
@@ -167,11 +161,11 @@ fn backlogged_arrivals(
     for round in 0..60 {
         for _ in 0..passes {
             clock.advance(1);
-            engines[0].iterate();
+            cl.engine_mut(0).iterate();
         }
-        engines[1].iterate();
+        cl.engine_mut(1).iterate();
         if round % 2 == 1 {
-            engines[2].iterate();
+            cl.engine_mut(2).iterate();
         }
         for (k, node) in [1, 2].into_iter().enumerate() {
             while let Some(r) = apps[node].recv(&receivers[k]).unwrap() {
@@ -189,7 +183,7 @@ fn backlogged_arrivals(
             }
         }
     }
-    let granted = sender_stats.unwrap().snapshot().paths[0].credit_window;
+    let granted = sender_stats.snapshot().paths[0].credit_window;
     (orders, granted)
 }
 

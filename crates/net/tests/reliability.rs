@@ -15,18 +15,17 @@
 use std::sync::Arc;
 
 use flipc_core::api::Flipc;
-use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
+use flipc_engine::node::InlineCluster;
 use flipc_net::{
     FaultConfig, FaultInjector, ManualClock, MemHub, NetConfig, NetStats, NetTransport,
 };
 
 struct NetWorld {
     apps: Vec<Flipc>,
-    engines: Vec<Engine>,
+    cl: InlineCluster,
     stats: Vec<Arc<NetStats>>,
     clock: ManualClock,
 }
@@ -36,28 +35,18 @@ struct NetWorld {
 fn world(cfg: NetConfig, fault: FaultConfig, seed: u64) -> NetWorld {
     let hub = MemHub::new(2, 4096);
     let clock = ManualClock::new();
-    let mut apps = Vec::new();
-    let mut engines = Vec::new();
-    let mut stats = Vec::new();
-    for i in 0..2u16 {
-        let node = FlipcNodeId(i);
-        let other = FlipcNodeId(1 - i);
-        let link = FaultInjector::new(hub.link(node), fault, seed + i as u64);
-        let transport = NetTransport::new(node, &[other], link, clock.clone(), cfg);
-        stats.push(transport.stats());
-        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
-        let registry = WaitRegistry::new();
-        apps.push(Flipc::attach(cb.clone(), node, registry.clone()));
-        engines.push(Engine::new(
-            cb,
-            Box::new(transport),
-            registry,
-            EngineConfig::default(),
-        ));
-    }
+    let transports: Vec<_> = (0..2u16)
+        .map(|i| {
+            let node = FlipcNodeId(i);
+            let link = FaultInjector::new(hub.link(node), fault, seed + i as u64);
+            NetTransport::new(node, &[FlipcNodeId(1 - i)], link, clock.clone(), cfg)
+        })
+        .collect();
+    let stats = transports.iter().map(NetTransport::stats).collect();
+    let cl = InlineCluster::over(transports, Geometry::small(), EngineConfig::default()).unwrap();
     NetWorld {
-        apps,
-        engines,
+        apps: (0..cl.len()).map(|i| cl.node(i).attach()).collect(),
+        cl,
         stats,
         clock,
     }
@@ -67,9 +56,7 @@ impl NetWorld {
     /// One deterministic step: advance time, run both event loops.
     fn pump(&mut self, ticks: u64) {
         self.clock.advance(ticks);
-        for e in &mut self.engines {
-            e.iterate();
-        }
+        self.cl.pump();
     }
 }
 

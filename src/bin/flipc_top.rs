@@ -49,14 +49,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use flipc_core::api::{Flipc, LocalEndpoint};
-use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointAddress, EndpointType, FlipcNodeId, Importance};
 use flipc_core::inspect::PeerLiveness;
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
-use flipc_engine::loopback::fabric;
-use flipc_net::{udp_transport, NetConfig, NodeAddr, NodeMap};
+use flipc_engine::engine::EngineConfig;
+use flipc_engine::node::InlineCluster;
+use flipc_net::{loopback_map, udp_pair, udp_transport, NetConfig};
 use flipc_obs::json::Value;
 use flipc_obs::merge::{events_from_json, merge, MergedTimeline, NodeInput};
 use flipc_obs::stall::{rank_nodes, scan, NodeStallRank, StallConfig, StallReport};
@@ -199,11 +197,11 @@ fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {
     })
 }
 
-/// One demo node: application handle, inline-pumped engine, and the
-/// observer-side taps (trace reader, telemetry, scan carry state).
+/// One demo node's application handle and observer-side taps (trace
+/// reader, telemetry, scan carry state). Its engine lives in the
+/// [`InlineCluster`] at the same index.
 struct DemoNode {
     app: Flipc,
-    engine: Engine,
     tx: LocalEndpoint,
     rx: LocalEndpoint,
     reader: TraceReader,
@@ -219,9 +217,11 @@ struct DemoNode {
 }
 
 impl DemoNode {
-    fn new(app: Flipc, mut engine: Engine) -> DemoNode {
-        let reader = engine.install_trace(8192);
-        let telemetry = engine.telemetry();
+    /// Attaches to node `i` of `cl` and taps its engine.
+    fn new(cl: &mut InlineCluster, i: usize) -> DemoNode {
+        let app = cl.node(i).attach();
+        let reader = cl.engine_mut(i).install_trace(8192);
+        let telemetry = cl.engine_telemetry(i);
         let tx = app
             .endpoint_allocate(EndpointType::Send, Importance::Normal)
             .expect("allocate send endpoint");
@@ -230,7 +230,6 @@ impl DemoNode {
             .expect("allocate receive endpoint");
         DemoNode {
             app,
-            engine,
             tx,
             rx,
             reader,
@@ -252,42 +251,17 @@ fn geometry() -> Geometry {
 }
 
 /// Builds the two demo nodes on the chosen transport.
-fn build_nodes(udp: bool) -> Vec<DemoNode> {
-    let geo = geometry();
-    let mk = |id: u16, transport: Box<dyn flipc_engine::transport::Transport>| {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(id), registry.clone());
-        DemoNode::new(
-            app,
-            Engine::new(cb, transport, registry, EngineConfig::default()),
-        )
-    };
-    if udp {
-        // Same bootstrap as the flipc-net demo: node 0 binds an ephemeral
-        // port, node 1 routes to it statically; node 0 learns node 1's
-        // port from the first arriving datagram.
-        let mut map0 = NodeMap::new();
-        map0.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let t0 = udp_transport(&map0, FlipcNodeId(0), NetConfig::default()).expect("bind node 0");
-        let addr0 = t0.link().local_addr().expect("local addr");
-        let mut map1 = NodeMap::new();
-        map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-            FlipcNodeId(1),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        );
-        let t1 = udp_transport(&map1, FlipcNodeId(1), NetConfig::default()).expect("bind node 1");
-        vec![mk(0, Box::new(t0)), mk(1, Box::new(t1))]
+fn build_nodes(udp: bool) -> (InlineCluster, Vec<DemoNode>) {
+    let cfg = EngineConfig::default();
+    let mut cl = if udp {
+        let pair = udp_pair(NetConfig::default()).expect("bind the UDP pair");
+        InlineCluster::over(pair, geometry(), cfg)
     } else {
-        let mut ports = fabric(2, 256);
-        let p1 = ports.pop().expect("port 1");
-        let p0 = ports.pop().expect("port 0");
-        vec![mk(0, Box::new(p0)), mk(1, Box::new(p1))]
+        InlineCluster::new(2, geometry(), cfg)
     }
+    .expect("geometry");
+    let nodes = (0..cl.len()).map(|i| DemoNode::new(&mut cl, i)).collect();
+    (cl, nodes)
 }
 
 /// Tops up both receive rings from the buffer pools.
@@ -314,6 +288,7 @@ fn stock_receivers(nodes: &mut [DemoNode]) {
 /// node 1: node 0's routing entry for node 1 is `Dynamic`, learned from
 /// the first datagram node 1 sends, so traffic has to originate there.
 fn round(
+    cl: &mut InlineCluster,
     nodes: &mut [DemoNode],
     pinger: usize,
     ponger: usize,
@@ -336,9 +311,7 @@ fn round(
         }
     }
     for _ in 0..128 {
-        for n in nodes.iter_mut() {
-            n.engine.iterate();
-        }
+        cl.pump();
         if let Ok(Some(got)) = nodes[ponger].app.recv_unlocked(&nodes[ponger].rx) {
             let _ = nodes[ponger]
                 .app
@@ -379,6 +352,7 @@ struct TickHarvest {
 /// events also accumulate in `all_events` — the raw feed behind
 /// `--trace-out` and the cluster children's merged-timeline shipping.
 fn harvest_tick(
+    cl: &InlineCluster,
     nodes: &mut [DemoNode],
     builder: &mut TimelineBuilder,
     all_events: &mut Vec<TraceEvent>,
@@ -386,15 +360,15 @@ fn harvest_tick(
 ) -> TickHarvest {
     let mut stalls = Vec::new();
     let mut batch: Vec<TraceEvent> = Vec::with_capacity(4096);
-    for n in nodes.iter_mut() {
+    for (i, n) in nodes.iter_mut().enumerate() {
         batch.clear();
         n.reader.drain_into(&mut batch);
         let lost = n.reader.lost();
         n.lost += lost;
         builder.note_lost(lost);
         let work = n.telemetry.harvest();
-        let (retransmitted, suspects) = n
-            .engine
+        let (retransmitted, suspects) = cl
+            .engine(i)
             .transport_snapshot()
             .map(|s| {
                 let r = s
@@ -452,14 +426,14 @@ fn trace_text(events: &[TraceEvent]) -> String {
 }
 
 /// Renders the current exposition page from the accumulated state.
-fn exposition(nodes: &[DemoNode]) -> String {
+fn exposition(cl: &InlineCluster, nodes: &[DemoNode]) -> String {
     let mut expo = Exposition::new();
     for (i, n) in nodes.iter().enumerate() {
         if let Some(acc) = &n.accum {
             expose_engine(&mut expo, i as u16, acc);
         }
         expose_trace_lost(&mut expo, i as u16, n.lost);
-        if let Some(snap) = n.engine.transport_snapshot() {
+        if let Some(snap) = cl.engine(i).transport_snapshot() {
             expose_transport(&mut expo, &snap);
         }
     }
@@ -468,11 +442,11 @@ fn exposition(nodes: &[DemoNode]) -> String {
 
 /// Renders the per-peer lifecycle table: failure-detector verdict, RTT
 /// estimator state, currently armed RTO, and session epoch per path.
-fn peer_table(nodes: &[DemoNode]) -> String {
+fn peer_table(cl: &InlineCluster) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    for (i, n) in nodes.iter().enumerate() {
-        let Some(snap) = n.engine.transport_snapshot() else {
+    for i in 0..cl.len() {
+        let Some(snap) = cl.engine(i).transport_snapshot() else {
             continue;
         };
         for p in &snap.paths {
@@ -522,10 +496,10 @@ fn peer_row(node: u64, p: &flipc_core::inspect::PathSnapshot) -> Value {
 }
 
 /// The same lifecycle table as structured rows for the JSON document.
-fn peers_json(nodes: &[DemoNode]) -> Value {
+fn peers_json(cl: &InlineCluster) -> Value {
     let mut rows = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
-        let Some(snap) = n.engine.transport_snapshot() else {
+    for i in 0..cl.len() {
+        let Some(snap) = cl.engine(i).transport_snapshot() else {
             continue;
         };
         for p in &snap.paths {
@@ -864,27 +838,17 @@ fn run_cluster_child(node_id: u16, opts: &Opts) -> ExitCode {
         dead_strikes: u32::MAX,
         ..NetConfig::default()
     };
-    let transport = if node_id == 0 {
-        let mut map = NodeMap::new();
-        map.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        udp_transport(&map, FlipcNodeId(0), net)
+    let node0_addr = if node_id == 0 {
+        SocketAddr::from(([127, 0, 0, 1], 0))
     } else {
         let Some(peer) = opts.peer_addr else {
             eprintln!("flipc-top: --cluster-node 1 needs --peer-addr");
             return ExitCode::from(2);
         };
-        let mut map = NodeMap::new();
-        map.insert(FlipcNodeId(0), NodeAddr::Static(peer)).insert(
-            FlipcNodeId(1),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        );
-        udp_transport(&map, FlipcNodeId(1), net)
+        peer
     };
-    let transport = match transport {
+    let local = FlipcNodeId(node_id);
+    let transport = match udp_transport(&loopback_map(local, node0_addr), local, net) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("flipc-top: cluster node {node_id} cannot bind: {e}");
@@ -893,13 +857,9 @@ fn run_cluster_child(node_id: u16, opts: &Opts) -> ExitCode {
     };
     let udp_addr = transport.link().local_addr().expect("local addr");
 
-    let cb = Arc::new(CommBuffer::new(geometry()).expect("geometry"));
-    let registry = WaitRegistry::new();
-    let app = Flipc::attach(cb.clone(), FlipcNodeId(node_id), registry.clone());
-    let mut node = DemoNode::new(
-        app,
-        Engine::new(cb, Box::new(transport), registry, EngineConfig::default()),
-    );
+    let mut cl =
+        InlineCluster::over([transport], geometry(), EngineConfig::default()).expect("geometry");
+    let mut node = DemoNode::new(&mut cl, 0);
     let my_inbox = node.app.address(&node.rx).pack();
     // Node 0's keepalive: a periodic node-local tick (send to its own
     // second receive endpoint, engine loopback bypass). When node 1
@@ -971,7 +931,7 @@ fn run_cluster_child(node_id: u16, opts: &Opts) -> ExitCode {
         while let Ok(Some(tok)) = node.app.reclaim_send_unlocked(&node.tx) {
             node.app.buffer_free(tok);
         }
-        node.engine.iterate();
+        cl.pump();
         while let Ok(Some(got)) = node.app.recv_unlocked(&node.rx) {
             if node_id == 0 {
                 // Echo back to the address the ping carries, reusing the
@@ -1032,24 +992,26 @@ fn run_cluster_child(node_id: u16, opts: &Opts) -> ExitCode {
         if last_harvest.elapsed() >= Duration::from_millis(50) {
             last_harvest = Instant::now();
             let h = harvest_tick(
+                &cl,
                 std::slice::from_mut(&mut node),
                 &mut builder,
                 &mut all_events,
                 &cfg,
             );
             stalls.extend(h.stalls);
-            *page.lock().expect("page lock") = exposition(std::slice::from_ref(&node));
+            *page.lock().expect("page lock") = exposition(&cl, std::slice::from_ref(&node));
         }
         std::thread::sleep(Duration::from_millis(1));
     }
     let h = harvest_tick(
+        &cl,
         std::slice::from_mut(&mut node),
         &mut builder,
         &mut all_events,
         &cfg,
     );
     stalls.extend(h.stalls);
-    *page.lock().expect("page lock") = exposition(std::slice::from_ref(&node));
+    *page.lock().expect("page lock") = exposition(&cl, std::slice::from_ref(&node));
 
     // The keepalive ticks already did their job locally (they kept the
     // stall scanner honest about engine liveness); shipped to the parent
@@ -1363,7 +1325,7 @@ fn run(opts: &Opts) -> ExitCode {
     if opts.workload {
         return run_workload(opts);
     }
-    let mut nodes = build_nodes(opts.udp);
+    let (mut cl, mut nodes) = build_nodes(opts.udp);
     // Over UDP, traffic must originate at node 1 (see `round`).
     let (pinger, ponger) = if opts.udp { (1, 0) } else { (0, 1) };
     let to_ponger = nodes[ponger].app.address(&nodes[ponger].rx);
@@ -1402,7 +1364,7 @@ fn run(opts: &Opts) -> ExitCode {
         let deadline = Instant::now() + opts.interval;
         let halfway = Instant::now() + opts.interval / 2;
         while Instant::now() < deadline {
-            round(&mut nodes, pinger, ponger, to_ponger, to_pinger);
+            round(&mut cl, &mut nodes, pinger, ponger, to_ponger, to_pinger);
             if !injected && Instant::now() >= halfway {
                 injected = true;
                 // Freeze the pump with work queued: the trace goes silent
@@ -1413,8 +1375,8 @@ fn run(opts: &Opts) -> ExitCode {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let h = harvest_tick(&mut nodes, &mut builder, &mut all_events, &cfg);
-        *page.lock().expect("page lock") = exposition(&nodes);
+        let h = harvest_tick(&cl, &mut nodes, &mut builder, &mut all_events, &cfg);
+        *page.lock().expect("page lock") = exposition(&cl, &nodes);
         if !opts.json {
             println!("--- tick {}/{} ---", tick + 1, opts.ticks);
             for (i, n) in nodes.iter().enumerate() {
@@ -1422,7 +1384,7 @@ fn run(opts: &Opts) -> ExitCode {
                     print!("node {i}: {}", acc.render());
                 }
             }
-            print!("{}", peer_table(&nodes));
+            print!("{}", peer_table(&cl));
             for s in &h.stalls {
                 println!("STALL {s}");
             }
@@ -1431,7 +1393,7 @@ fn run(opts: &Opts) -> ExitCode {
     }
 
     let timeline = builder.timeline();
-    *page.lock().expect("page lock") = exposition(&nodes);
+    *page.lock().expect("page lock") = exposition(&cl, &nodes);
     if let Some(path) = &opts.trace_out {
         if let Err(e) = std::fs::write(path, trace_text(&all_events)) {
             eprintln!("flipc-top: cannot write {path}: {e}");
@@ -1447,21 +1409,21 @@ fn run(opts: &Opts) -> ExitCode {
             &timeline,
             &all_stalls,
             telemetry_json(&nodes),
-            peers_json(&nodes),
-            &exposition(&nodes),
+            peers_json(&cl),
+            &exposition(&cl, &nodes),
         );
         println!("{}", doc.render_pretty());
     } else {
         println!("=== timeline ===");
         print!("{}", timeline.render());
         println!("=== peers ===");
-        print!("{}", peer_table(&nodes));
+        print!("{}", peer_table(&cl));
         println!("=== stalls ({}) ===", all_stalls.len());
         for s in &all_stalls {
             println!("{s}");
         }
         println!("=== exposition ===");
-        print!("{}", exposition(&nodes));
+        print!("{}", exposition(&cl, &nodes));
     }
 
     // Sanity for CI: the demo must have produced at least one endpoint
