@@ -473,8 +473,13 @@ fn walk_hot(
             if chain.len() > 1 { root_line } else { b.line },
             root_symbol.clone(),
             format!(
-                "hot path {} `{}` at {}:{}{}",
-                b.class, b.what, file.path, b.line, via
+                "hot path {} `{}` in {} at {}:{}{}",
+                b.class,
+                b.what,
+                f.qualified(),
+                file.path,
+                b.line,
+                via
             ),
         ));
     }
@@ -888,6 +893,35 @@ mod tests {
             "{msgs:?}"
         );
         assert!(msgs.iter().any(|m| m.contains(".unwrap()")), "{msgs:?}");
+    }
+
+    #[test]
+    fn allowlist_keyed_on_the_enclosing_function_survives_line_shifts() {
+        let allow = crate::config::Allowlist {
+            entries: vec![crate::config::AllowEntry {
+                rule: "hot-path".to_string(),
+                path: "x/h.rs".to_string(),
+                symbol: String::new(),
+                contains: "`.lock()` in helper".to_string(),
+                justification: "slow path".to_string(),
+            }],
+        };
+        let mut c = cfg();
+        c.hot_path = vec!["x/h.rs::hot".to_string()];
+        for pad in ["", "\n"] {
+            let src =
+                format!("fn hot(&mut self) {{ helper(); }}\n{pad}fn helper() {{ m.lock(); }}\n");
+            let mut r = run_all(&[file("x/h.rs", &src)], &c);
+            r.apply_allowlist(&allow);
+            let lock: Vec<_> = r
+                .findings
+                .iter()
+                .filter(|f| f.message.contains(".lock()"))
+                .collect();
+            assert_eq!(lock.len(), 1, "{:?}", r.findings);
+            assert!(lock[0].allowlisted, "{:?}", lock[0]);
+            assert!(r.stale_allows.is_empty());
+        }
     }
 
     #[test]

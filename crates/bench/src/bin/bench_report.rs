@@ -49,9 +49,7 @@ use flipc_net::{
 };
 use flipc_obs::merge::{merge, NodeInput};
 use flipc_obs::{trace_ring, TraceEvent};
-use flipc_workloads::{
-    Broadcast, BroadcastConfig, LogConfig, ReplicatedLog, TierConfig, Tiered, TopicSpec,
-};
+use flipc_workloads::{Broadcast, DeliveryMode, ReplicatedLog, Tiered, TopicSpec};
 
 /// Message sizes (8-byte header + payload) spanning the paper's range.
 const MSG_SIZES: [u32; 5] = [64, 96, 160, 288, 544];
@@ -484,7 +482,7 @@ fn broadcast_fanout_rate(quick: bool) -> f64 {
         4,
         workload_net(),
         0xBE9C_0001,
-        BroadcastConfig::default(),
+        DeliveryMode::Reliable,
         topics,
     );
     for _ in 0..bursts {
@@ -510,7 +508,7 @@ fn broadcast_fanout_rate(quick: bool) -> f64 {
 /// path, which is exactly what the gate watches.
 fn log_append_replay_latency(quick: bool) -> (f64, f64) {
     let entries = if quick { 60 } else { 240 } as u32;
-    let mut log = ReplicatedLog::new(2, workload_net(), 0xBE9C_0002, LogConfig::default());
+    let mut log = ReplicatedLog::new(2, workload_net(), 0xBE9C_0002);
     for v in 0..entries / 2 {
         log.append(v);
     }
@@ -545,9 +543,7 @@ fn log_append_replay_latency(quick: bool) -> (f64, f64) {
 /// story asserts, measured.
 fn tiered_high_class_latency(quick: bool) -> (f64, f64) {
     let steps = if quick { 150 } else { 400 };
-    let mut cfg = TierConfig::default();
-    cfg.classes[2].deadline = 3_000;
-    let mut t = Tiered::new(workload_net(), 0xBE9C_0003, cfg);
+    let mut t = Tiered::new(workload_net(), 0xBE9C_0003);
     t.cluster_mut().faults(0, FaultConfig::lossy(0.10));
     let mut high_sent = 0u64;
     for step in 0..steps {
@@ -650,8 +646,6 @@ fn congested_goodput(quick: bool) -> f64 {
 /// bounded here, measured over the same harness the chaos suite pins.
 fn tiered_high_class_latency_under_bulk(quick: bool) -> (f64, f64) {
     let steps = if quick { 150 } else { 400 };
-    let mut cfg = TierConfig::default();
-    cfg.classes[2].deadline = 3_000;
     // Patient timers for the same reason as `congested_goodput`: the
     // bottleneck queue's service time must not outrun the initial RTO.
     let net = NetConfig {
@@ -660,7 +654,7 @@ fn tiered_high_class_latency_under_bulk(quick: bool) -> (f64, f64) {
         rto_max: 20_000,
         ..workload_net()
     };
-    let mut t = Tiered::new(net, 0xBE9C_0004, cfg);
+    let mut t = Tiered::new(net, 0xBE9C_0004);
     let shaped = FaultConfig {
         bandwidth_bps: 2_000_000,
         ..FaultConfig::default()

@@ -3,7 +3,10 @@
 //! "Protection of the messaging engine from the application can be enforced
 //! via appropriate checks in the messaging engine, but can be removed to
 //! increase performance of a trusted application." The paper measured the
-//! checks at about 2µs per message on the Paragon.
+//! checks at about 2µs per message on the Paragon. The host engine always
+//! runs them: a trusting engine would index the buffer array with whatever
+//! a corrupted ring slot holds. The checks-off numbers come from the
+//! Paragon model (`flipc-paragon`'s `FlipcModelConfig::checks`).
 //!
 //! Every value the engine reads from application-writable memory — ring
 //! slots (buffer indices), queue pointers, header words — is validated here
@@ -16,17 +19,6 @@ use crate::commbuf::CommBuffer;
 use crate::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId};
 use crate::error::{FlipcError, Result};
 use crate::queue::EngineQueue;
-
-/// Whether the engine runs with validity checks (protected mode) or trusts
-/// the application (the configuration the paper's headline numbers use).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CheckMode {
-    /// Validate everything read from app-writable memory.
-    #[default]
-    Checked,
-    /// Trust the application (saves ~2µs/message on the Paragon).
-    Trusting,
-}
 
 /// Validates a buffer index read from a ring slot, and that the buffer is
 /// in the state the engine expects to process (`Queued`).

@@ -15,7 +15,7 @@
 //!   five-step transfer protocol of Figure 2, in TAS-locked and unlocked
 //!   variants;
 //! * [`group`] — endpoint groups with library-level receive-any;
-//! * [`checks`] — the engine's configurable validity checks;
+//! * [`checks`] — the engine's validity checks;
 //! * [`wait`] — blocking-receive support (the kernel's only messaging role);
 //! * [`managed`] and [`flow`] — the buffer-management and flow-control
 //!   layers the paper's Future Work section calls for.

@@ -26,9 +26,7 @@ use flipc_core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flipc_core::buffer::BufferState;
-use flipc_core::checks::{
-    validate_backlog, validate_delivery_at, validate_queued_buffer, CheckMode,
-};
+use flipc_core::checks::{validate_backlog, validate_delivery_at, validate_queued_buffer};
 use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, Importance};
 use flipc_core::wait::WaitRegistry;
@@ -40,8 +38,6 @@ use crate::wire::Frame;
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Validity checking of application-writable state.
-    pub check_mode: CheckMode,
     /// Maximum arrivals delivered per iteration.
     pub incoming_budget: u32,
     /// Maximum sends transmitted per iteration.
@@ -57,7 +53,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            check_mode: CheckMode::Checked,
             incoming_budget: 64,
             outgoing_budget: 64,
             max_batch: 16,
@@ -92,13 +87,6 @@ pub struct EngineStats {
 impl EngineStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sum of all frames that left the wire (delivered + discarded).
-    pub fn total_arrivals(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-            + self.dropped_no_buffer.load(Ordering::Relaxed)
-            + self.misaddressed.load(Ordering::Relaxed)
     }
 }
 
@@ -401,7 +389,7 @@ impl Engine {
             EngineStats::bump(&self.stats.misaddressed);
             return;
         };
-        if self.cfg.check_mode == CheckMode::Checked && validate_backlog(&q).is_err() {
+        if validate_backlog(&q).is_err() {
             // Corrupted release pointer: treat the endpoint as having no
             // usable buffers; the message is discarded and counted.
             Self::count_drop(&self.stats, &mut self.trace, local.0, cb, didx, &frame);
@@ -415,7 +403,7 @@ impl Engine {
             Self::count_drop(&self.stats, &mut self.trace, local.0, cb, didx, &frame);
             return;
         };
-        if self.cfg.check_mode == CheckMode::Checked && validate_queued_buffer(cb, buf).is_err() {
+        if validate_queued_buffer(cb, buf).is_err() {
             // The ring slot held garbage. Skip the slot (bounded: one per
             // arrival) and count both a check failure and a drop.
             q.advance();
@@ -567,15 +555,13 @@ impl Engine {
             let cb = self.domains[dom].cb.clone();
             let index_base = self.domains[dom].index_base;
             let Ok(q) = cb.engine_queue(idx) else { break };
-            if self.cfg.check_mode == CheckMode::Checked && validate_backlog(&q).is_err() {
+            if validate_backlog(&q).is_err() {
                 // Corrupted queue: skip the endpoint entirely this pass.
                 EngineStats::bump(&self.stats.check_failures);
                 break;
             }
             let Some(buf) = q.peek() else { break };
-            if self.cfg.check_mode == CheckMode::Checked
-                && validate_queued_buffer(&cb, buf).is_err()
-            {
+            if validate_queued_buffer(&cb, buf).is_err() {
                 q.advance();
                 EngineStats::bump(&self.stats.check_failures);
                 *budget -= 1;

@@ -2,7 +2,7 @@
 //!
 //! [`FaultInjector`] wraps any [`Link`] and misdelivers its outbound
 //! datagrams with seeded pseudo-randomness: probabilistic loss,
-//! duplication, reordering, delay, jitter, corruption, and hard
+//! duplication, reordering, delay (with seeded jitter), corruption, and hard
 //! per-direction partitions. Because the randomness comes from a seed and
 //! the "time" unit is link operations (not wall clock), a given seed
 //! reproduces the exact same fault schedule on every run — the robustness
@@ -44,9 +44,13 @@ use crate::packet::MAX_DATAGRAM;
 /// machinery reacts to) instead of unbounded latency.
 const SHAPE_QUEUE_MAX: usize = 64;
 
+/// Token-bucket depth of the bandwidth shaper, in bytes: two maximal
+/// datagrams.
+const BUCKET_BYTES: u64 = 2 * MAX_DATAGRAM as u64;
+
 /// Fault probabilities and shape. Probabilities are independent per
 /// datagram and evaluated in the order partition → loss → delay →
-/// reorder → jitter → corruption → duplication.
+/// reorder → corruption → duplication.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultConfig {
     /// Probability a datagram is silently dropped.
@@ -70,26 +74,15 @@ pub struct FaultConfig {
     /// The versioned header/length checks must reject these; corruption
     /// storms surface as `decode_errors`, never as delivered garbage.
     pub corrupt: f64,
-    /// Probability a datagram gets a *jittery* extra hold: like `delay`
-    /// but with a seeded uniform hold of up to `jitter_ops` operations
-    /// and no fixed component — the small random latency variance of a
-    /// real link rather than a deliberate stall. `0.0` disables the fault
-    /// and, critically, consumes no RNG draws, so schedules built without
-    /// jitter stay byte-identical.
-    pub jitter: f64,
-    /// Upper bound (inclusive-exclusive) of the jittery hold; `0` makes a
-    /// jittered datagram release on the next operation.
-    pub jitter_ops: u64,
     /// Token-bucket bandwidth cap on this side's outbound wire, in bytes
     /// per second (clock ticks are microseconds, matching the
     /// production clock). Datagrams beyond the available tokens queue (up
     /// to a bounded router buffer) and drain as [`Link::on_tick`] refills
     /// the bucket; overflow tail-drops. `0` disables shaping entirely —
     /// no queue, no RNG draws, byte-identical to the unshaped schedule.
+    /// The bucket holds at most twice [`MAX_DATAGRAM`] bytes, the burst
+    /// the link absorbs at line rate.
     pub bandwidth_bps: u64,
-    /// Token-bucket depth in bytes (the burst the link absorbs at line
-    /// rate); `0` defaults to twice [`MAX_DATAGRAM`].
-    pub burst_bytes: u64,
 }
 
 impl Default for FaultConfig {
@@ -102,10 +95,7 @@ impl Default for FaultConfig {
             delay: 0.0,
             delay_jitter_ops: 0,
             corrupt: 0.0,
-            jitter: 0.0,
-            jitter_ops: 0,
             bandwidth_bps: 0,
-            burst_bytes: 0,
         }
     }
 }
@@ -135,8 +125,6 @@ pub struct FaultCounts {
     pub partitioned: u64,
     /// Datagrams corrupted in flight.
     pub corrupted: u64,
-    /// Datagrams held back by the jitter fault.
-    pub jittered: u64,
     /// Datagrams tail-dropped by the bandwidth shaper's full queue.
     pub shaped_dropped: u64,
 }
@@ -241,16 +229,6 @@ impl<L: Link> FaultInjector<L> {
         }
     }
 
-    /// Token-bucket capacity in byte-microseconds.
-    fn bucket_cap(&self) -> u64 {
-        let bytes = if self.cfg.burst_bytes == 0 {
-            2 * MAX_DATAGRAM as u64
-        } else {
-            self.cfg.burst_bytes
-        };
-        bytes.saturating_mul(1_000_000)
-    }
-
     /// The final delivery stage every surviving datagram funnels through.
     /// With shaping off it *is* `inner.send` — zero extra state, zero RNG.
     /// With a bandwidth cap, datagrams spend tokens (bytes) to pass; the
@@ -325,19 +303,6 @@ impl<L: Link> Link for FaultInjector<L> {
                 .push((self.ops + self.cfg.delay_ops, dst, bytes.to_vec()));
             return true;
         }
-        // The jitter draw is gated on the probability being nonzero so a
-        // jitter-free configuration consumes no RNG: pre-existing seeded
-        // schedules replay byte-identically.
-        if self.cfg.jitter > 0.0 && self.rng.gen_f64() < self.cfg.jitter {
-            self.counts.jittered += 1;
-            let extra = if self.cfg.jitter_ops == 0 {
-                0
-            } else {
-                (self.rng.gen_f64() * self.cfg.jitter_ops as f64) as u64
-            };
-            self.held.push((self.ops + 1 + extra, dst, bytes.to_vec()));
-            return true;
-        }
         let payload: Vec<u8> = if self.rng.gen_f64() < self.cfg.corrupt && !bytes.is_empty() {
             self.counts.corrupted += 1;
             let mut b = bytes.to_vec();
@@ -382,7 +347,7 @@ impl<L: Link> Link for FaultInjector<L> {
         self.bucket = self
             .bucket
             .saturating_add(elapsed.saturating_mul(self.cfg.bandwidth_bps))
-            .min(self.bucket_cap());
+            .min(BUCKET_BYTES * 1_000_000);
         self.drain_shaped();
     }
 }
@@ -552,7 +517,6 @@ mod tests {
         // each. Bucket starts empty.
         let cfg = FaultConfig {
             bandwidth_bps: 1_000_000,
-            burst_bytes: 100,
             ..FaultConfig::default()
         };
         let mut a = FaultInjector::new(hub.link(FlipcNodeId(0)), cfg, 21);
@@ -564,7 +528,7 @@ mod tests {
         // 30 ticks of refill pay for exactly three datagrams.
         a.on_tick(30);
         assert_eq!(drain(&mut b).len(), 3);
-        // Plenty of time pays for the rest (bucket caps at 100 bytes).
+        // Plenty of time pays for the rest.
         a.on_tick(1_000);
         assert_eq!(drain(&mut b).len(), 5, "backlog drains in order");
         assert_eq!(a.fault_counts().shaped_dropped, 0);
@@ -606,41 +570,6 @@ mod tests {
         a.set_config(FaultConfig::default());
         a.on_tick(10);
         assert_eq!(drain(&mut b).len(), 5, "queued datagrams flood out");
-    }
-
-    #[test]
-    fn jittered_datagrams_arrive_late_within_the_bound() {
-        let hub = MemHub::new(2, 64);
-        let cfg = FaultConfig {
-            jitter: 1.0,
-            jitter_ops: 5,
-            ..FaultConfig::default()
-        };
-        let mut a = FaultInjector::new(hub.link(FlipcNodeId(0)), cfg, 24);
-        let mut b = hub.link(FlipcNodeId(1));
-        for i in 0..6u8 {
-            a.send(FlipcNodeId(1), &[i]);
-        }
-        // Every datagram is held at least one op past its send, so the
-        // final send's datagram cannot have been released yet (earlier
-        // ones may have: later sends advance the op clock that frees
-        // them).
-        let early = drain(&mut b).len();
-        assert!(
-            early < 6,
-            "the last datagram is always at least one op late"
-        );
-        let mut buf = [0u8; 8];
-        // Max hold is 1 + jitter_ops ops; generous op budget releases all.
-        for _ in 0..32 {
-            a.recv(&mut buf);
-        }
-        assert_eq!(
-            early + drain(&mut b).len(),
-            6,
-            "jitter never loses datagrams"
-        );
-        assert_eq!(a.fault_counts().jittered, 6);
     }
 
     #[test]

@@ -87,8 +87,6 @@ pub struct NetConfig {
     /// epoch so peers detect the restart immediately; the transport also
     /// bumps it per path when it declares a peer dead.
     pub initial_epoch: u16,
-    /// Max datagrams drained from the wire per transport poll.
-    pub recv_burst: usize,
     /// Coalesce consecutive sends to one peer into MTU-bounded Batch
     /// datagrams. First transmissions are staged per peer and flushed on
     /// the batch boundary (`Transport::flush`, an MTU-full batch, or the
@@ -96,16 +94,6 @@ pub struct NetConfig {
     /// datagrams. Off by default: latency-first callers keep the
     /// one-datagram-per-frame path.
     pub coalesce: bool,
-    /// Largest coalesced datagram, bytes, header included. Clamped into
-    /// `[packet::HEADER_LEN + 3, packet::MAX_DATAGRAM]`; frames that can
-    /// never fit under the bound bypass coalescing as plain Data.
-    pub coalesce_mtu: usize,
-    /// Floor for the receiver-granted credit window ([`CreditGrantor`]):
-    /// however congested, the grant never shrinks below this, which is
-    /// what guarantees regrow liveness (a window of ≥ 1 always lets the
-    /// probe frame through that earns the next additive increase).
-    /// Clamped to at least 1.
-    pub credit_min: u32,
     /// Interval, in clock ticks, between slow probes toward a peer
     /// already declared dead *while sends toward it are still pending*
     /// (unacknowledged credit). This is what breaks the mutual-dead
@@ -130,10 +118,7 @@ impl Default for NetConfig {
             dead_strikes: 12,
             heartbeat_interval: 200_000,
             initial_epoch: 1,
-            recv_burst: 128,
             coalesce: false,
-            coalesce_mtu: 1_400,
-            credit_min: 1,
             dead_probe_interval: 1_600_000,
         }
     }
@@ -556,12 +541,12 @@ impl ReceiverPath {
 /// counter rather than by loss inference at the sender:
 ///
 /// * **Multiplicative shrink**: any out-of-window discard since the last
-///   advertisement halves the grant (floored at `cfg.credit_min` ≥ 1) —
+///   advertisement halves the grant, floored at 1 —
 ///   the peer is outrunning our reorder window or our drain rate, and a
 ///   smaller window converts its go-back-N flooding into backpressure.
 /// * **Additive regrow**: an advertisement round with delivery progress
 ///   and no new drops raises the grant by one, back up to `cfg.window`.
-///   Because the floor is ≥ 1, a probe frame can always get through to
+///   Because the floor is 1, a probe frame can always get through to
 ///   earn the next increase: the window degrades gracefully and can
 ///   never wedge shut.
 ///
@@ -573,8 +558,6 @@ impl ReceiverPath {
 pub struct CreditGrantor {
     /// Current grant (frames).
     window: u32,
-    /// Shrink floor (≥ 1).
-    min: u32,
     /// Regrow ceiling (the configured sender window).
     max: u32,
     /// Cumulative receive-side drops (wrapping).
@@ -589,11 +572,9 @@ pub struct CreditGrantor {
 impl CreditGrantor {
     /// A fresh grantor starting fully open at the configured window.
     pub fn new(cfg: &NetConfig) -> CreditGrantor {
-        let min = cfg.credit_min.max(1);
-        let max = cfg.window.max(min);
+        let max = cfg.window.max(1);
         CreditGrantor {
             window: max,
-            min,
             max,
             drops: 0,
             drops_at_last: 0,
@@ -629,7 +610,7 @@ impl CreditGrantor {
         let fresh_drops = self.drops.wrapping_sub(self.drops_at_last);
         let mut shrank = false;
         if fresh_drops != 0 {
-            let next = (self.window / 2).max(self.min);
+            let next = (self.window / 2).max(1);
             shrank = next < self.window;
             self.window = next;
             self.drops_at_last = self.drops;
@@ -1311,11 +1292,7 @@ mod tests {
 
     #[test]
     fn grantor_shrinks_on_drops_and_regrows_additively() {
-        let cfg = NetConfig {
-            window: 8,
-            credit_min: 1,
-            ..cfg()
-        };
+        let cfg = NetConfig { window: 8, ..cfg() };
         let mut g = CreditGrantor::new(&cfg);
         assert_eq!(g.window(), 8);
         // A clean round with deliveries holds at the ceiling.
@@ -1331,7 +1308,7 @@ mod tests {
         assert_eq!(g.advertise(), (1, 4, true));
         g.on_drop();
         let (w, _, shrank) = g.advertise();
-        assert_eq!(w, 1, "floored at credit_min");
+        assert_eq!(w, 1, "floored at 1");
         assert!(!shrank, "holding the floor is not a shrink");
         // Regrow needs delivery evidence: an idle round holds.
         assert_eq!(g.advertise().0, 1);

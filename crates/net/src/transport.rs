@@ -69,6 +69,13 @@ use crate::reliability::{
 use crate::stats::NetStats;
 use crate::udp::UdpLink;
 
+/// Max datagrams drained from the wire per transport poll.
+const RECV_BURST: usize = 128;
+
+/// Largest coalesced datagram, bytes, header included: under a 1500-byte
+/// Ethernet MTU. Frames that can never fit bypass coalescing as plain Data.
+const COALESCE_MTU: usize = 1_400;
+
 /// Per-peer protocol state (sender + receiver half of one path pair).
 struct PeerState {
     node: FlipcNodeId,
@@ -162,7 +169,7 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                     epoch: cfg.initial_epoch,
                     remote_epoch: None,
                     liveness: LivenessTracker::new(now),
-                    batch: BatchBuilder::new(cfg.coalesce_mtu),
+                    batch: BatchBuilder::new(COALESCE_MTU),
                     clock: ClockSync::new(),
                     credit: CreditGrantor::new(&cfg),
                     dead_demand: false,
@@ -353,7 +360,7 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         // token-bucket shaper) refill and release before we drain it.
         self.link.on_tick(now);
         self.flush_all();
-        for _ in 0..self.cfg.recv_burst {
+        for _ in 0..RECV_BURST {
             let Some(n) = self.link.recv(&mut self.recv_buf) else {
                 break;
             };
@@ -1374,15 +1381,18 @@ mod tests {
     fn oversized_frames_bypass_the_coalescer_as_plain_data() {
         let cfg = NetConfig {
             coalesce: true,
-            // Tiny MTU: the builder can hold nothing but the smallest
-            // frames, so a 16-byte-payload frame must go out plain.
-            coalesce_mtu: packet::HEADER_LEN + packet::SUBFRAME_PREFIX + 1,
             window: 8,
             ..NetConfig::default()
         };
         let (mut a, mut b, _clock) = mem_pair(cfg);
+        // Each frame is larger than the coalescing MTU on its own, so the
+        // builder can never hold it and it must go out plain.
         for i in 0..4u8 {
-            assert!(a.try_send(FlipcNodeId(1), &frame(i)));
+            let big = Frame {
+                payload: vec![i; COALESCE_MTU + 100].into(),
+                ..frame(i)
+            };
+            assert!(a.try_send(FlipcNodeId(1), &big));
         }
         a.flush();
         for i in 0..4u8 {

@@ -21,7 +21,7 @@
 //!   epoch) catches up from its durable prefix. An invariant module
 //!   asserts offset monotonicity, leader/follower prefix agreement, and
 //!   the absence of cross-epoch leakage.
-//! * [`tiers`] — **priority-tiered delivery**: two-to-four traffic
+//! * [`tiers`] — **priority-tiered delivery**: three traffic
 //!   classes mapped to distinct endpoint indexes (one endpoint group per
 //!   class) behind a deadline-aware drain policy — strict priority with
 //!   a starvation budget — so high-class p99 holds while low-class
@@ -44,7 +44,7 @@ pub mod pubsub;
 mod stats;
 pub mod tiers;
 
-pub use log::{LogConfig, ReplicatedLog};
+pub use log::ReplicatedLog;
 pub use msg::WireMsg;
-pub use pubsub::{Broadcast, BroadcastConfig, DeliveryMode, TopicSpec};
-pub use tiers::{TierClass, TierConfig, Tiered};
+pub use pubsub::{Broadcast, DeliveryMode, TopicSpec};
+pub use tiers::{Tiered, STARVATION_BUDGET};

@@ -36,29 +36,7 @@ use flipc_obs::trace::TraceKind;
 use flipc_obs::workload::{WorkloadClass, WorkloadSnapshot};
 
 use crate::msg::WireMsg;
-use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace};
-
-/// Replicated-log harness tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct LogConfig {
-    /// Ticks without ack progress before the leader rewinds a
-    /// follower's cursor to its acked frontier and re-streams.
-    pub ack_timeout: u64,
-    /// Max unacked entries in flight per follower.
-    pub window: usize,
-    /// Clock ticks one [`ReplicatedLog::step`] advances.
-    pub tick: u64,
-}
-
-impl Default for LogConfig {
-    fn default() -> LogConfig {
-        LogConfig {
-            ack_timeout: 400,
-            window: 16,
-            tick: 25,
-        }
-    }
-}
+use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace, ACK_TIMEOUT, STEP_TICKS, WINDOW};
 
 /// Leader-side replication cursor for one follower.
 #[derive(Debug)]
@@ -99,7 +77,6 @@ struct FollowerState {
 /// [`Cluster`].
 pub struct ReplicatedLog {
     cluster: Cluster,
-    cfg: LogConfig,
     leader: u16,
     /// The leader's authoritative log: `(value, append stamp)`.
     log: Vec<(u32, u64)>,
@@ -113,12 +90,11 @@ pub struct ReplicatedLog {
 impl ReplicatedLog {
     /// Builds a log over a fresh cluster: node 0 leads, nodes
     /// `1..nodes` follow.
-    pub fn new(nodes: u16, net: NetConfig, seed: u64, cfg: LogConfig) -> ReplicatedLog {
+    pub fn new(nodes: u16, net: NetConfig, seed: u64) -> ReplicatedLog {
         assert!(nodes >= 2, "a replicated log needs a leader and a follower");
         let cluster = Cluster::new(nodes, net, seed);
         ReplicatedLog {
             cluster,
-            cfg,
             leader: 0,
             log: Vec::new(),
             paths: (1..nodes)
@@ -193,7 +169,7 @@ impl ReplicatedLog {
     pub fn step(&mut self) {
         self.replicate();
         self.pump();
-        self.cluster.advance(self.cfg.tick);
+        self.cluster.advance(STEP_TICKS);
     }
 
     /// Runs `n` steps.
@@ -206,7 +182,6 @@ impl ReplicatedLog {
     /// Leader side: rewind stalled cursors, then stream the window.
     fn replicate(&mut self) {
         let now = self.cluster.now();
-        let (timeout, window) = (self.cfg.ack_timeout, self.cfg.window);
         let leader = self.leader;
         let log_len = self.log.len() as u64;
         if self.cluster.transport(leader).is_none() {
@@ -216,13 +191,13 @@ impl ReplicatedLog {
             // Go-back: no ack progress for a full timeout with entries
             // in flight means the path lost something (epoch reset,
             // dead declaration) — rewind to the acked frontier.
-            if p.cursor > p.acked && now.saturating_sub(p.last_progress) >= timeout {
+            if p.cursor > p.acked && now.saturating_sub(p.last_progress) >= ACK_TIMEOUT {
                 let refired = p.cursor - p.acked;
                 p.cursor = p.acked;
                 p.last_progress = now;
                 self.counters[leader as usize].retried += refired;
             }
-            while p.cursor < log_len && p.cursor.saturating_sub(p.acked) < window as u64 {
+            while p.cursor < log_len && p.cursor.saturating_sub(p.acked) < WINDOW as u64 {
                 let offset = p.cursor;
                 let (value, stamp) = self.log[offset as usize];
                 let msg = WireMsg::Append {

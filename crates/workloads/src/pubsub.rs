@@ -34,7 +34,7 @@ use flipc_obs::trace::TraceKind;
 use flipc_obs::workload::{WorkloadClass, WorkloadSnapshot};
 
 use crate::msg::WireMsg;
-use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace};
+use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace, ACK_TIMEOUT, STEP_TICKS, WINDOW};
 
 /// The delivery contract a broadcast harness runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,30 +54,6 @@ pub struct TopicSpec {
     pub publisher: u16,
     /// The subscriber group (node ids, no duplicates).
     pub subscribers: Vec<u16>,
-}
-
-/// Broadcast harness tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct BroadcastConfig {
-    /// Delivery contract.
-    pub mode: DeliveryMode,
-    /// Ticks without ack progress before the outbox re-sends (reliable).
-    pub ack_timeout: u64,
-    /// Max unacked messages in flight per `(topic, subscriber)` path.
-    pub window: usize,
-    /// Clock ticks one [`Broadcast::step`] advances.
-    pub tick: u64,
-}
-
-impl Default for BroadcastConfig {
-    fn default() -> BroadcastConfig {
-        BroadcastConfig {
-            mode: DeliveryMode::Reliable,
-            ack_timeout: 400,
-            window: 16,
-            tick: 25,
-        }
-    }
 }
 
 /// Publisher-side state for one `(topic, subscriber)` path.
@@ -119,7 +95,7 @@ struct Topic {
 /// A deterministic pub-sub broadcast running over live chaos transports.
 pub struct Broadcast {
     cluster: Cluster,
-    cfg: BroadcastConfig,
+    mode: DeliveryMode,
     topics: Vec<Topic>,
     counters: Vec<Counters>,
     violations: Vec<String>,
@@ -127,12 +103,13 @@ pub struct Broadcast {
 }
 
 impl Broadcast {
-    /// Builds a harness over a fresh [`Cluster`] of `nodes` transports.
+    /// Builds a harness over a fresh [`Cluster`] of `nodes` transports,
+    /// delivering every topic under `mode`.
     pub fn new(
         nodes: u16,
         net: NetConfig,
         seed: u64,
-        cfg: BroadcastConfig,
+        mode: DeliveryMode,
         topics: Vec<TopicSpec>,
     ) -> Broadcast {
         let cluster = Cluster::new(nodes, net, seed);
@@ -173,7 +150,7 @@ impl Broadcast {
             .collect();
         Broadcast {
             cluster,
-            cfg,
+            mode,
             topics,
             counters: vec![Counters::default(); nodes as usize],
             violations: Vec::new(),
@@ -207,7 +184,7 @@ impl Broadcast {
         self.counters[publisher as usize].published += 1;
         self.trace
             .record(now, TraceKind::Send, publisher, topic, seq);
-        match self.cfg.mode {
+        match self.mode {
             DeliveryMode::Reliable => {
                 for p in &mut t.pubs {
                     p.outbox.insert(seq, (now, None));
@@ -251,11 +228,11 @@ impl Broadcast {
     /// One harness step: flush reliable outboxes and pending acks, pump
     /// every live transport, advance the clock one tick.
     pub fn step(&mut self) {
-        if self.cfg.mode == DeliveryMode::Reliable {
+        if self.mode == DeliveryMode::Reliable {
             self.flush_outboxes();
         }
         self.pump();
-        self.cluster.advance(self.cfg.tick);
+        self.cluster.advance(STEP_TICKS);
     }
 
     /// Runs `n` steps.
@@ -266,21 +243,20 @@ impl Broadcast {
     }
 
     /// Re-sends every outbox entry that never went out or has waited
-    /// `ack_timeout` ticks without being covered by an ack, up to
-    /// `window` in flight per path.
+    /// `ACK_TIMEOUT` ticks without being covered by an ack, up to
+    /// `WINDOW` in flight per path.
     fn flush_outboxes(&mut self) {
         let now = self.cluster.now();
-        let (timeout, window) = (self.cfg.ack_timeout, self.cfg.window);
         for t in &mut self.topics {
             let (topic, publisher) = (t.spec.topic, t.spec.publisher);
             let Some(tr) = self.cluster.transport_mut(publisher) else {
                 continue;
             };
             for p in &mut t.pubs {
-                for (&seq, (stamp, last_sent)) in p.outbox.iter_mut().take(window) {
+                for (&seq, (stamp, last_sent)) in p.outbox.iter_mut().take(WINDOW) {
                     let due = match *last_sent {
                         None => true,
-                        Some(at) => now.saturating_sub(at) >= timeout,
+                        Some(at) => now.saturating_sub(at) >= ACK_TIMEOUT,
                     };
                     if !due {
                         continue;
@@ -347,7 +323,7 @@ impl Broadcast {
                 let Some(s) = t.subs.iter_mut().find(|s| s.subscriber == node) else {
                     return;
                 };
-                match self.cfg.mode {
+                match self.mode {
                     DeliveryMode::AtMostOnce => {
                         if let Some(last) = s.last_seen {
                             if seq <= last {
@@ -405,7 +381,7 @@ impl Broadcast {
     /// Sends cumulative acks for every reliable path whose delivery
     /// frontier advanced (retrying on backpressure next step).
     fn send_acks(&mut self) {
-        if self.cfg.mode != DeliveryMode::Reliable {
+        if self.mode != DeliveryMode::Reliable {
             return;
         }
         for t in &mut self.topics {

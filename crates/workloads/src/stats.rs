@@ -12,6 +12,16 @@ use flipc_obs::workload::WorkloadSnapshot;
 
 use crate::msg::WireMsg;
 
+/// Clock ticks one harness step advances (all three workloads).
+pub(crate) const STEP_TICKS: u64 = 25;
+
+/// Ticks without ack progress before a reliable sender (broadcast
+/// outbox, log leader) re-sends from its acked frontier.
+pub(crate) const ACK_TIMEOUT: u64 = 400;
+
+/// Max unacked messages in flight per reliable path.
+pub(crate) const WINDOW: usize = 16;
+
 /// A plain single-writer log₂ latency accumulator.
 #[derive(Clone, Debug)]
 pub(crate) struct LatencyHist {

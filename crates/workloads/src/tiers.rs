@@ -1,6 +1,6 @@
 //! Priority-tiered delivery with a deadline-aware drain policy.
 //!
-//! Two-to-four traffic classes (class 0 highest) are mapped to
+//! Three traffic classes (class 0 highest) are mapped to
 //! **distinct endpoint indexes** — one endpoint group per class on the
 //! wire — between one sender and one receiver. The sender holds a queue
 //! per class and [`TieredDispatcher`]-drains them into the shared
@@ -10,14 +10,14 @@
 //! * **Strict priority**: the highest-priority backlogged class sends
 //!   first, so high-class latency is bounded by the transport window,
 //!   not by low-class backlog depth.
-//! * **Starvation budget**: after `starvation_budget` consecutive
+//! * **Starvation budget**: after [`STARVATION_BUDGET`] consecutive
 //!   higher-class sends while lower classes wait, one lower-class
 //!   message is served — saturation at a high tier cannot starve bulk
 //!   traffic forever.
-//! * **Deadline shedding**: classes marked [`TierClass::shed_expired`]
-//!   drop queued messages whose per-class deadline has passed instead of
-//!   wasting window on them (counted in `dropped`); real-time tiers keep
-//!   everything and rely on priority.
+//! * **Deadline shedding**: classes with a shedding deadline drop queued
+//!   messages older than it instead of wasting window on them (counted
+//!   in `dropped`); the real-time tier keeps everything and relies on
+//!   priority.
 //!
 //! The invariant the chaos test pins down: under seeded loss with the
 //! low class saturating the link, every high-class message still
@@ -33,60 +33,41 @@ use flipc_obs::trace::TraceKind;
 use flipc_obs::workload::{WorkloadClass, WorkloadSnapshot};
 
 use crate::msg::WireMsg;
-use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace};
+use crate::stats::{frame, Counters, LatencyHist, WorkloadTrace, STEP_TICKS};
+
+/// Consecutive higher-class sends (while lower classes wait) before one
+/// lower-class message is served.
+pub const STARVATION_BUDGET: u32 = 8;
+
+/// Max messages drained per step (paces the dispatcher).
+const BURST: usize = 32;
 
 /// One traffic class.
-#[derive(Clone, Debug)]
-pub struct TierClass {
+struct TierClass {
     /// Stable class label (exposition and reports).
-    pub name: String,
-    /// Ticks a queued message may wait before it is considered late.
-    pub deadline: u64,
-    /// Shed queued messages older than `deadline` instead of sending
-    /// them (bulk tiers); real-time tiers keep everything.
-    pub shed_expired: bool,
+    name: &'static str,
+    /// Ticks a queued message may wait before it is shed instead of sent;
+    /// `None` keeps everything (the real-time tier).
+    shed_after: Option<u64>,
 }
 
-/// Tiered-delivery harness tuning.
-#[derive(Clone, Debug)]
-pub struct TierConfig {
-    /// The classes, index 0 highest priority. Two to four supported.
-    pub classes: Vec<TierClass>,
-    /// Consecutive higher-class sends (while lower classes wait) before
-    /// one lower-class message is served.
-    pub starvation_budget: u32,
-    /// Max messages drained per step (paces the dispatcher).
-    pub burst: usize,
-    /// Clock ticks one [`Tiered::step`] advances.
-    pub tick: u64,
-}
-
-impl Default for TierConfig {
-    fn default() -> TierConfig {
-        TierConfig {
-            classes: vec![
-                TierClass {
-                    name: "high".to_string(),
-                    deadline: 2_000,
-                    shed_expired: false,
-                },
-                TierClass {
-                    name: "mid".to_string(),
-                    deadline: 10_000,
-                    shed_expired: true,
-                },
-                TierClass {
-                    name: "bulk".to_string(),
-                    deadline: 40_000,
-                    shed_expired: true,
-                },
-            ],
-            starvation_budget: 8,
-            burst: 32,
-            tick: 25,
-        }
-    }
-}
+/// The classes, index 0 highest priority. The bulk deadline is short
+/// enough that a saturating bulk offer expires within a few thousand
+/// ticks instead of queueing without bound.
+const CLASSES: [TierClass; 3] = [
+    TierClass {
+        name: "high",
+        shed_after: None,
+    },
+    TierClass {
+        name: "mid",
+        shed_after: Some(10_000),
+    },
+    TierClass {
+        name: "bulk",
+        shed_after: Some(3_000),
+    },
+];
 
 /// Sender-side queue for one class.
 #[derive(Debug, Default)]
@@ -116,7 +97,7 @@ impl TieredDispatcher {
     /// Picks the class to serve next: the highest-priority backlogged
     /// class, unless the starvation budget is spent and a lower class
     /// waits — then the topmost waiting lower class.
-    fn pick(&mut self, queues: &[ClassQueue], budget: u32) -> Option<usize> {
+    fn pick(&mut self, queues: &[ClassQueue]) -> Option<usize> {
         let top = queues.iter().position(|c| !c.q.is_empty())?;
         let lower = queues
             .iter()
@@ -124,7 +105,7 @@ impl TieredDispatcher {
             .position(|c| !c.q.is_empty())
             .map(|i| top + 1 + i);
         match lower {
-            Some(low) if self.streak >= budget => {
+            Some(low) if self.streak >= STARVATION_BUDGET => {
                 self.streak = 0;
                 Some(low)
             }
@@ -144,9 +125,8 @@ impl TieredDispatcher {
 /// node 1 receives).
 pub struct Tiered {
     cluster: Cluster,
-    cfg: TierConfig,
-    queues: Vec<ClassQueue>,
-    sinks: Vec<ClassSink>,
+    queues: [ClassQueue; CLASSES.len()],
+    sinks: [ClassSink; CLASSES.len()],
     dispatcher: TieredDispatcher,
     counters: Vec<Counters>,
     violations: Vec<String>,
@@ -158,17 +138,11 @@ const RECEIVER: u16 = 1;
 
 impl Tiered {
     /// Builds a harness over a fresh two-node cluster.
-    pub fn new(net: NetConfig, seed: u64, cfg: TierConfig) -> Tiered {
-        assert!(
-            (2..=4).contains(&cfg.classes.len()),
-            "two to four traffic classes supported"
-        );
-        let n = cfg.classes.len();
+    pub fn new(net: NetConfig, seed: u64) -> Tiered {
         Tiered {
             cluster: Cluster::new(2, net, seed),
-            cfg,
-            queues: (0..n).map(|_| ClassQueue::default()).collect(),
-            sinks: (0..n).map(|_| ClassSink::default()).collect(),
+            queues: Default::default(),
+            sinks: Default::default(),
             dispatcher: TieredDispatcher::default(),
             counters: vec![Counters::default(); 2],
             violations: Vec::new(),
@@ -202,7 +176,7 @@ impl Tiered {
     pub fn step(&mut self) {
         self.drain();
         self.pump();
-        self.cluster.advance(self.cfg.tick);
+        self.cluster.advance(STEP_TICKS);
     }
 
     /// Runs `n` steps.
@@ -217,11 +191,10 @@ impl Tiered {
     fn drain(&mut self) {
         let now = self.cluster.now();
         // Deadline shedding first, so expired bulk never eats window.
-        for (class, q) in self.queues.iter_mut().enumerate() {
-            if !self.cfg.classes[class].shed_expired {
+        for (q, class) in self.queues.iter_mut().zip(&CLASSES) {
+            let Some(deadline) = class.shed_after else {
                 continue;
-            }
-            let deadline = self.cfg.classes[class].deadline;
+            };
             while let Some(&(_, enq)) = q.q.front() {
                 if now.saturating_sub(enq) < deadline {
                     break;
@@ -231,11 +204,8 @@ impl Tiered {
                 self.counters[SENDER as usize].dropped += 1;
             }
         }
-        for _ in 0..self.cfg.burst {
-            let Some(class) = self
-                .dispatcher
-                .pick(&self.queues, self.cfg.starvation_budget)
-            else {
+        for _ in 0..BURST {
+            let Some(class) = self.dispatcher.pick(&self.queues) else {
                 break;
             };
             let Some(&(seq, enq)) = self.queues[class].q.front() else {
@@ -345,9 +315,9 @@ impl Tiered {
             .map(|(n, c)| c.snapshot("tiers", n as u16))
             .collect();
         snaps[SENDER as usize].backlog = self.queues.iter().map(|q| q.q.len() as u64).sum();
-        for (class, sink) in self.sinks.iter().enumerate() {
+        for (sink, class) in self.sinks.iter().zip(&CLASSES) {
             snaps[RECEIVER as usize].classes.push(WorkloadClass {
-                class: self.cfg.classes[class].name.clone(),
+                class: class.name.to_string(),
                 latency: sink.latency.snapshot(),
             });
         }

@@ -22,8 +22,7 @@
 use flipc_net::chaos::write_transcript_to;
 use flipc_net::{FaultConfig, NetConfig};
 use flipc_workloads::{
-    Broadcast, BroadcastConfig, DeliveryMode, LogConfig, ReplicatedLog, TierConfig, Tiered,
-    TopicSpec,
+    Broadcast, DeliveryMode, ReplicatedLog, Tiered, TopicSpec, STARVATION_BUDGET,
 };
 
 /// Pinned seed matrix; `CHAOS_SEED` narrows the run to one seed.
@@ -83,7 +82,7 @@ fn reliable_broadcast_survives_storm_and_subscriber_restart() {
                 subscribers: vec![1, 3],
             },
         ];
-        let mut b = Broadcast::new(4, net(), seed, BroadcastConfig::default(), topics);
+        let mut b = Broadcast::new(4, net(), seed, DeliveryMode::Reliable, topics);
         b.cluster_mut().log("storm on the publisher's uplink");
         b.cluster_mut().faults(0, FaultConfig::lossy(0.20));
         b.publish_burst(10);
@@ -154,11 +153,7 @@ fn at_most_once_broadcast_sheds_but_never_reorders() {
             publisher: 0,
             subscribers: vec![1, 2],
         }];
-        let cfg = BroadcastConfig {
-            mode: DeliveryMode::AtMostOnce,
-            ..BroadcastConfig::default()
-        };
-        let mut b = Broadcast::new(3, net(), seed, cfg, topics);
+        let mut b = Broadcast::new(3, net(), seed, DeliveryMode::AtMostOnce, topics);
         b.cluster_mut().faults(0, FaultConfig::lossy(0.30));
         // Publish in small pulses so the transport window backpressures
         // visibly (shed-on-backpressure is the at-most-once contract).
@@ -197,7 +192,7 @@ fn replicated_log_replays_after_partition_and_follower_restart() {
             heartbeat_interval: 2_000,
             ..net()
         };
-        let mut log = ReplicatedLog::new(3, net, seed, LogConfig::default());
+        let mut log = ReplicatedLog::new(3, net, seed);
         for v in 0..20u32 {
             log.append(v);
         }
@@ -262,13 +257,7 @@ fn replicated_log_replays_after_partition_and_follower_restart() {
 #[test]
 fn high_tier_p99_holds_while_bulk_saturates() {
     for seed in seeds() {
-        // Tighten the bulk deadline so the 10k-tick saturation phase
-        // actually expires queued bulk (the default 40k-tick deadline is
-        // tuned for long-running deployments, not a short chaos story).
-        let mut cfg = TierConfig::default();
-        cfg.classes[2].deadline = 3_000;
-        let budget = cfg.starvation_budget;
-        let mut t = Tiered::new(net(), seed, cfg);
+        let mut t = Tiered::new(net(), seed);
         t.cluster_mut().faults(0, FaultConfig::lossy(0.10));
         // 400 steps of cross-traffic: bulk offered far beyond link
         // capacity, a steady trickle of high-priority traffic on top.
@@ -311,7 +300,7 @@ fn high_tier_p99_holds_while_bulk_saturates() {
         // The starvation budget kept bulk moving: at least one bulk
         // message per budget-window of high sends, well beyond zero.
         assert!(
-            t.delivered(2) > u64::from(high_sent / budget),
+            t.delivered(2) > u64::from(high_sent / STARVATION_BUDGET),
             "bulk starved: {} delivered (seed {seed:#x})",
             t.delivered(2)
         );
@@ -333,8 +322,6 @@ fn high_tier_p99_holds_through_a_shaped_bottleneck() {
         // dispatcher's strict priority must keep the high-class trickle
         // flowing with a bounded p99 even though the bulk tier could
         // fill every window slot many times over.
-        let mut cfg = TierConfig::default();
-        cfg.classes[2].deadline = 3_000;
         // RTO sized for a congested link: the initial timeout must sit
         // above the bottleneck's worst service time or spurious
         // go-back-N rounds (Karn-starved estimator) melt the link.
@@ -344,7 +331,7 @@ fn high_tier_p99_holds_through_a_shaped_bottleneck() {
             rto_max: 20_000,
             ..net()
         };
-        let mut t = Tiered::new(net, seed, cfg);
+        let mut t = Tiered::new(net, seed);
         t.cluster_mut()
             .log("token-bucket bottleneck on the sender uplink");
         t.cluster_mut().faults(
@@ -405,7 +392,7 @@ fn workload_runs_are_deterministic_per_seed() {
             publisher: 0,
             subscribers: vec![1, 2],
         }];
-        let mut b = Broadcast::new(3, net(), 0xF11C_0001, BroadcastConfig::default(), topics);
+        let mut b = Broadcast::new(3, net(), 0xF11C_0001, DeliveryMode::Reliable, topics);
         b.cluster_mut().faults(0, FaultConfig::lossy(0.25));
         b.publish_burst(12);
         b.run(150);

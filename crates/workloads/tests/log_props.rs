@@ -12,7 +12,7 @@
 //!   never alter durable state, across repeated crash/restart cycles.
 
 use flipc_net::{FaultConfig, NetConfig};
-use flipc_workloads::{LogConfig, ReplicatedLog};
+use flipc_workloads::ReplicatedLog;
 use proptest::prelude::*;
 
 /// Transport tuning matching the chaos suite: fast timers, heartbeats
@@ -65,7 +65,7 @@ proptest! {
         faults in fault_cfg(),
         bursts in proptest::collection::vec((1u32..=6, 1u64..=8), 1..12),
     ) {
-        let mut log = ReplicatedLog::new(3, net(), seed, LogConfig::default());
+        let mut log = ReplicatedLog::new(3, net(), seed);
         log.cluster_mut().faults(0, faults);
         let mut value = 0u32;
         for &(count, steps) in &bursts {
@@ -95,7 +95,7 @@ proptest! {
         post in 0u32..30,
         loss in 0u32..=25,
     ) {
-        let mut log = ReplicatedLog::new(3, net(), seed, LogConfig::default());
+        let mut log = ReplicatedLog::new(3, net(), seed);
         log.cluster_mut().faults(0, FaultConfig::lossy(f64::from(loss) / 100.0));
         for v in 0..pre {
             log.append(v);
@@ -132,7 +132,7 @@ proptest! {
         cycles in proptest::collection::vec((1u32..=10, 1u64..=40), 1..4),
         loss in 0u32..=25,
     ) {
-        let mut log = ReplicatedLog::new(3, net(), seed, LogConfig::default());
+        let mut log = ReplicatedLog::new(3, net(), seed);
         let mut value = 0u32;
         for &(count, steps) in &cycles {
             log.cluster_mut().faults(0, FaultConfig::lossy(f64::from(loss) / 100.0));

@@ -15,7 +15,7 @@
 //! same story, byte for byte.
 
 use flipc::net::{FaultConfig, NetConfig};
-use flipc::workloads::{Broadcast, BroadcastConfig, TopicSpec};
+use flipc::workloads::{Broadcast, DeliveryMode, TopicSpec};
 
 const MESSAGES: u32 = 30;
 
@@ -36,7 +36,7 @@ fn main() {
         publisher: 0,
         subscribers: vec![1, 2, 3],
     }];
-    let mut b = Broadcast::new(4, net, 0xF11C_D0D0, BroadcastConfig::default(), topics);
+    let mut b = Broadcast::new(4, net, 0xF11C_D0D0, DeliveryMode::Reliable, topics);
 
     b.cluster_mut()
         .log("a lossy storm hits the publisher's uplink");

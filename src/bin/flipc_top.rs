@@ -688,7 +688,7 @@ fn events_to_json(events: &[TraceEvent]) -> Value {
 /// page. Manual clock + pinned seed: the whole run is reproducible.
 fn run_workload(opts: &Opts) -> ExitCode {
     use flipc_net::FaultConfig;
-    use flipc_workloads::{Broadcast, BroadcastConfig, TopicSpec};
+    use flipc_workloads::{Broadcast, DeliveryMode, TopicSpec};
 
     let net = NetConfig {
         window: 8,
@@ -705,7 +705,7 @@ fn run_workload(opts: &Opts) -> ExitCode {
         publisher: 0,
         subscribers: vec![1, 2, 3],
     }];
-    let mut b = Broadcast::new(4, net, 0xF11C_0070, BroadcastConfig::default(), topics);
+    let mut b = Broadcast::new(4, net, 0xF11C_0070, DeliveryMode::Reliable, topics);
     let (writer, mut reader) = flipc_obs::trace_ring(16384);
     b.install_trace(writer);
 
